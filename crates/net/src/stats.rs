@@ -394,6 +394,9 @@ mod tests {
     use super::*;
     use xsac_obs::PhaseProfile;
 
+    const GOLDEN_LEN: usize = 516;
+    const GOLDEN_SHA1: &str = "0038aa047c9a75a71614416b12b045a088d812c3";
+
     fn sample() -> ServiceSnapshot {
         let mut latency_a = Histogram::new();
         let mut latency_b = Histogram::new();
@@ -519,6 +522,18 @@ mod tests {
             request_latency: Histogram::new(),
         };
         assert_eq!(decode_snapshot(&encode_snapshot(&empty)).unwrap(), empty);
+    }
+
+    /// The `Stats` payload of the sample snapshot, pinned by SHA-1: any
+    /// change to the wire layout (field order, widths, histogram
+    /// sparsity) shows up here before it reaches a deployed client.
+    #[test]
+    fn snapshot_wire_bytes_are_pinned() {
+        let bytes = encode_snapshot(&sample());
+        let hex: String =
+            xsac_crypto::sha1::sha1(&bytes).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(bytes.len(), GOLDEN_LEN);
+        assert_eq!(hex, GOLDEN_SHA1);
     }
 
     #[test]
