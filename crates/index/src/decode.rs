@@ -7,16 +7,23 @@
 //! stack and used to decode in turn TagArray_e, SubtreeSize_e and the
 //! encoded tag of e."
 //!
-//! Skipping an open subtree is a byte seek to its body end; pending
-//! subtrees can be re-decoded later from a saved [`DecoderContext`]
-//! (read-back, §5) without re-analyzing anything else.
+//! [`CursorDecoder`] is the one decoder, and the only code that knows
+//! the record format (leaf bit, tag index, subtree size, TagArray). It
+//! pulls every byte through a [`ByteSource`] — in the SOE a metered,
+//! verifying reader over the chunk store; in tests and oracles a
+//! [`SliceSource`] over a resident buffer — so the source observes
+//! exactly the skip-index access pattern. Skipping an open subtree is a
+//! position seek to its body end: none of its bytes are fetched. A
+//! pending subtree saved as a [`DecoderContext`] is re-decoded later by
+//! [`CursorDecoder::read_back`] (read-back, §5): the saved range is
+//! fetched in one pull and parsed in place by the same record parser,
+//! without re-analyzing anything else.
 //!
 //! The decode loop is allocation-light: text nodes are returned as `&str`
-//! slices borrowing the encoded bytes (no per-node `String`), and readback
-//! decoding can append into a caller-owned event buffer via
-//! [`Decoder::decode_range_into`], so a session's steady-state decode path
-//! allocates per *element record* (its descendant-tag context), never per
-//! text byte.
+//! slices borrowing the decoder's fetch buffers (no per-node `String`),
+//! readback appends into a caller-owned event buffer, and an element
+//! record's only allocation is its child-context tag list — never
+//! anything per text byte.
 
 use crate::bits::{width_for, BitReader};
 use std::fmt;
@@ -32,6 +39,12 @@ pub struct DecodeError {
     pub message: String,
 }
 
+impl DecodeError {
+    fn at(offset: usize, message: &str) -> DecodeError {
+        DecodeError { offset, message: message.into() }
+    }
+}
+
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "decode error at byte {}: {}", self.offset, self.message)
@@ -42,23 +55,23 @@ impl std::error::Error for DecodeError {}
 
 /// One decoded node event.
 ///
-/// Borrows the encoded input: text nodes are `&str` views of the decoded
-/// byte range, so pulling events never copies text. An element's
+/// Borrows the decoder: text nodes are `&str` views of its fetch buffer,
+/// so pulling events never allocates per text node. An element's
 /// descendant-tag set (the decoded TagArray) is exposed through
-/// [`Decoder::last_desc`] — kept in a buffer the decoder reuses for every
-/// record, so the steady-state element loop performs a single allocation
-/// per record (the shared child-context tag list) instead of four.
+/// [`CursorDecoder::last_desc`] — kept in a buffer the decoder reuses for
+/// every record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DecodedNode<'a> {
     /// An element opens. `body` is the byte extent of its content; its
-    /// descendant tags are in [`Decoder::last_desc`] until the next call.
+    /// descendant tags are in [`CursorDecoder::last_desc`] until the next
+    /// call.
     Element {
         /// The element tag.
         tag: TagId,
         /// Byte extent `[start, end)` of the body.
         body: (usize, usize),
     },
-    /// A text node, borrowed from the encoded bytes.
+    /// A text node, borrowed from the decoder's fetch buffer.
     Text(&'a str),
     /// An element closes (synthesized — the encoding has no closing tags).
     Close(TagId),
@@ -81,310 +94,23 @@ pub struct DecoderContext {
     pub body_bound: u64,
 }
 
+/// One SkipStack entry: an open element, or the implicit parent of the
+/// records at the top of a document or a readback range.
 struct Level {
     tag: TagId,
+    /// `DescTag`: the tag list the children's records are indexed against.
     tags: Arc<[TagId]>,
+    /// `SubtreeSize`: the bound of the children's size fields.
     body_bound: u64,
+    /// One past the last body byte.
     end: usize,
 }
 
-/// Streaming TCSBR decoder.
-pub struct Decoder<'a> {
-    data: &'a [u8],
-    pos: usize,
-    stack: Vec<Level>,
-    /// Context of the most recently decoded element record.
-    last_element: Option<DecoderContext>,
-    /// Descendant-tag set of the most recently decoded element (reused
-    /// across records; see [`Decoder::last_desc`]).
-    last_desc: TagSet,
-    /// The same tags as a list (scratch for building child contexts).
-    desc_buf: Vec<TagId>,
-    root_tags: Arc<[TagId]>,
-    done: bool,
-    /// Total bytes consumed by `next` (for cost accounting; skipped bytes
-    /// are *not* counted — that is the point of the index).
-    pub bytes_read: usize,
-}
-
-impl<'a> Decoder<'a> {
-    /// Creates a decoder over TCSBR bytes; `dict_len` is the tag
-    /// dictionary size (shared knowledge between SOE and server).
-    pub fn new(data: &'a [u8], dict_len: usize) -> Result<Decoder<'a>, DecodeError> {
-        if data.len() < 4 {
-            return Err(DecodeError { offset: 0, message: "missing header".into() });
-        }
-        let root_tags: Arc<[TagId]> = (0..dict_len as u32).map(TagId).collect();
-        Ok(Decoder {
-            data,
-            pos: 4,
-            stack: Vec::new(),
-            last_element: None,
-            last_desc: TagSet::new(),
-            desc_buf: Vec::new(),
-            root_tags,
-            done: false,
-            bytes_read: 4,
-        })
-    }
-
-    /// Descendant-tag set (`DescTag_e`, the decoded TagArray) of the
-    /// element most recently returned by [`Decoder::next`] — empty for
-    /// leaves. Valid until the next `next` call.
-    pub fn last_desc(&self) -> &TagSet {
-        &self.last_desc
-    }
-
-    /// Tag-list context for decoding the children of the element most
-    /// recently opened by [`Decoder::next`] (shared with the decoder's own
-    /// stack — an `Arc` bump, no copy).
-    pub fn current_tags(&self) -> Arc<[TagId]> {
-        self.stack.last().map(|l| l.tags.clone()).unwrap_or_else(|| self.root_tags.clone())
-    }
-
-    /// Current absolute byte position.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Current depth.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// The context of the element record most recently returned by
-    /// [`Decoder::next`] — save it before skipping to allow readback.
-    pub fn last_element_context(&self) -> Option<DecoderContext> {
-        self.last_element.clone()
-    }
-
-    /// Context covering the *remaining* content of the current element
-    /// (skip-rest on close directives).
-    pub fn rest_context(&self) -> Option<DecoderContext> {
-        let top = self.stack.last()?;
-        Some(DecoderContext {
-            start: self.pos,
-            end: top.end,
-            tags: top.tags.clone(),
-            body_bound: top.body_bound,
-        })
-    }
-
-    /// Next node in document order.
-    #[allow(clippy::should_implement_trait)] // fallible pull-style next()
-    pub fn next(&mut self) -> Result<DecodedNode<'a>, DecodeError> {
-        if self.done {
-            return Ok(DecodedNode::End);
-        }
-        // Close any element whose body is exhausted.
-        if let Some(top) = self.stack.last() {
-            debug_assert!(self.pos <= top.end, "decoder overran a subtree");
-            if self.pos == top.end {
-                let level = self.stack.pop().expect("non-empty");
-                if self.stack.is_empty() {
-                    self.done = true;
-                }
-                return Ok(DecodedNode::Close(level.tag));
-            }
-        } else if !self.stack.is_empty() {
-            unreachable!()
-        }
-        if self.stack.is_empty() && self.pos > 4 {
-            self.done = true;
-            return Ok(DecodedNode::End);
-        }
-
-        let (tags, bound, level_end) = match self.stack.last() {
-            Some(top) => (top.tags.clone(), top.body_bound, top.end),
-            None => {
-                let end =
-                    4 + u32::from_be_bytes(self.data[0..4].try_into().expect("header")) as usize;
-                (self.root_tags.clone(), u32::MAX as u64, end)
-            }
-        };
-        let record_start = self.pos;
-        let mut r = BitReader::at(self.data, self.pos);
-        let err = |offset, message: &str| DecodeError { offset, message: message.into() };
-        let leaf = r.read_bit().ok_or_else(|| err(record_start, "eof in leaf bit"))?;
-        let tagw = width_for(tags.len().saturating_sub(1) as u64);
-        let idx = r.read(tagw).ok_or_else(|| err(record_start, "eof in tag index"))? as usize;
-        let tag = *tags.get(idx).ok_or_else(|| err(record_start, "tag index out of context"))?;
-        let sizew = width_for(bound);
-        let size = r.read(sizew).ok_or_else(|| err(record_start, "eof in size"))? as usize;
-        self.last_desc.clear();
-        self.desc_buf.clear();
-        if !leaf {
-            for &t in tags.iter() {
-                if r.read_bit().ok_or_else(|| err(record_start, "eof in tag array"))? {
-                    self.last_desc.insert(t);
-                    self.desc_buf.push(t);
-                }
-            }
-        }
-        r.align();
-        let body_start = r.byte_pos();
-        let body_end = body_start + size;
-        if body_end > level_end {
-            return Err(err(record_start, "record overruns its parent"));
-        }
-        self.bytes_read += body_start - record_start;
-        if tag == TagId::TEXT {
-            let bytes = r.read_bytes(size).ok_or_else(|| err(body_start, "eof in text body"))?;
-            let text =
-                std::str::from_utf8(bytes).map_err(|_| err(body_start, "invalid UTF-8 text"))?;
-            self.pos = body_end;
-            self.bytes_read += size;
-            if self.stack.is_empty() {
-                return Err(err(record_start, "text node at document root"));
-            }
-            return Ok(DecodedNode::Text(text));
-        }
-        // Element record. The child-context tag list is the only per-record
-        // allocation (it outlives this record via saved `DecoderContext`s).
-        let desc_list: Arc<[TagId]> = self.desc_buf.as_slice().into();
-        self.last_element = Some(DecoderContext {
-            start: record_start,
-            end: body_end,
-            tags: tags.clone(),
-            body_bound: bound,
-        });
-        self.stack.push(Level { tag, tags: desc_list, body_bound: size as u64, end: body_end });
-        self.pos = body_start;
-        Ok(DecodedNode::Element { tag, body: (body_start, body_end) })
-    }
-
-    /// Skips the element opened by the last [`DecodedNode::Element`]:
-    /// seeks past its body without decoding (and without emitting its
-    /// close). The bytes are *not* counted as read.
-    pub fn skip_current(&mut self) {
-        let level = self.stack.pop().expect("skip_current without open element");
-        self.pos = level.end;
-        if self.stack.is_empty() {
-            self.done = true;
-        }
-    }
-
-    /// Skips the remaining content of the current element (after some of
-    /// its children were decoded) and pops it without emitting its close.
-    pub fn skip_rest(&mut self) {
-        let level = self.stack.pop().expect("skip_rest without open element");
-        self.pos = level.end;
-        if self.stack.is_empty() {
-            self.done = true;
-        }
-    }
-
-    /// Decodes a saved byte range into events (pending readback). The
-    /// range may contain one subtree or a forest of records. Text events
-    /// borrow from `data`; see [`Decoder::decode_range_into`] to also
-    /// reuse the event buffer across readbacks.
-    pub fn decode_range<'d>(
-        data: &'d [u8],
-        ctx: &DecoderContext,
-    ) -> Result<Vec<Event<'d>>, DecodeError> {
-        let mut out = Vec::new();
-        Decoder::decode_range_into(data, ctx, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`Decoder::decode_range`], but clears and fills a
-    /// caller-owned buffer — one buffer (plus the borrowed text slices)
-    /// serves every readback and bulk delivery of a session, so serving a
-    /// pending subtree allocates nothing proportional to its text size.
-    pub fn decode_range_into<'d>(
-        data: &'d [u8],
-        ctx: &DecoderContext,
-        out: &mut Vec<Event<'d>>,
-    ) -> Result<(), DecodeError> {
-        Decoder::decode_range_at(data, 0, ctx, out)
-    }
-
-    /// Like [`Decoder::decode_range_into`], but over a buffer that holds
-    /// only the bytes `base..base + data.len()` of the document — the
-    /// cursor path: a readback fetches exactly its saved range and
-    /// decodes it in place, so `data` need not start at document offset
-    /// 0. All offsets in `ctx` (and in the emitted errors) stay absolute.
-    pub fn decode_range_at<'d>(
-        data: &'d [u8],
-        base: usize,
-        ctx: &DecoderContext,
-        out: &mut Vec<Event<'d>>,
-    ) -> Result<(), DecodeError> {
-        out.clear();
-        if ctx.start < base || ctx.end < ctx.start || ctx.end - base > data.len() {
-            return Err(DecodeError {
-                offset: ctx.start,
-                message: "range outside provided data".into(),
-            });
-        }
-        let mut stack: Vec<(TagId, usize, Arc<[TagId]>, u64)> = Vec::new();
-        let mut pos = ctx.start;
-        loop {
-            // Close exhausted levels.
-            while let Some(&(tag, end, _, _)) = stack.last() {
-                if pos == end {
-                    out.push(Event::Close(tag));
-                    stack.pop();
-                } else {
-                    break;
-                }
-            }
-            if stack.is_empty() && pos >= ctx.end {
-                break;
-            }
-            let (tags, bound) = match stack.last() {
-                Some((_, _, tags, bound)) => (tags.clone(), *bound),
-                None => (ctx.tags.clone(), ctx.body_bound),
-            };
-            let record_start = pos;
-            let mut r = BitReader::at(data, pos - base);
-            let err = |message: &str| DecodeError { offset: record_start, message: message.into() };
-            let leaf = r.read_bit().ok_or_else(|| err("eof in leaf bit"))?;
-            let tagw = width_for(tags.len().saturating_sub(1) as u64);
-            let idx = r.read(tagw).ok_or_else(|| err("eof in tag index"))? as usize;
-            let tag = *tags.get(idx).ok_or_else(|| err("tag index out of context"))?;
-            let sizew = width_for(bound);
-            let size = r.read(sizew).ok_or_else(|| err("eof in size"))? as usize;
-            let mut desc: Vec<TagId> = Vec::new();
-            if !leaf {
-                for &t in tags.iter() {
-                    if r.read_bit().ok_or_else(|| err("eof in tag array"))? {
-                        desc.push(t);
-                    }
-                }
-            }
-            r.align();
-            let body_start = base + r.byte_pos();
-            let body_end = body_start + size;
-            if tag == TagId::TEXT {
-                let bytes = r.read_bytes(size).ok_or_else(|| err("eof in text body"))?;
-                let text = std::str::from_utf8(bytes).map_err(|_| err("invalid UTF-8 text"))?;
-                out.push(Event::Text(text.into()));
-                pos = body_end;
-            } else {
-                out.push(Event::Open(tag));
-                stack.push((tag, body_end, desc.into(), size as u64));
-                pos = body_start;
-            }
-        }
-        Ok(())
-    }
-
-    /// Decodes everything into events (no skipping — brute-force mode).
-    /// Text events borrow from `data`.
-    pub fn decode_all(data: &[u8], dict_len: usize) -> Result<Vec<Event<'_>>, DecodeError> {
-        let mut d = Decoder::new(data, dict_len)?;
-        let mut out = Vec::new();
-        loop {
-            match d.next()? {
-                DecodedNode::Element { tag, .. } => out.push(Event::Open(tag)),
-                DecodedNode::Text(t) => out.push(Event::Text(t.into())),
-                DecodedNode::Close(t) => out.push(Event::Close(t)),
-                DecodedNode::End => break,
-            }
-        }
-        Ok(out)
-    }
+/// A parsed record header.
+struct Record {
+    tag: TagId,
+    body_start: usize,
+    body_end: usize,
 }
 
 /// A fallible, random-access byte provider the [`CursorDecoder`] pulls
@@ -427,7 +153,7 @@ impl ByteSource for SliceSource<'_> {
         let end = offset
             .checked_add(len)
             .filter(|&e| e <= self.0.len())
-            .ok_or_else(|| DecodeError { offset, message: "fetch past end of input".into() })?;
+            .ok_or_else(|| DecodeError::at(offset, "fetch past end of input"))?;
         out.extend_from_slice(&self.0[offset..end]);
         Ok(())
     }
@@ -469,34 +195,31 @@ impl<E: fmt::Display> fmt::Display for CursorError<E> {
 
 impl<E: fmt::Display + fmt::Debug> std::error::Error for CursorError<E> {}
 
-/// Streaming TCSBR decoder over a [`ByteSource`] — the out-of-core twin
-/// of [`Decoder`]. Instead of indexing a resident flat buffer it fetches
-/// each record's header and body on demand, so the bytes resident at any
-/// moment are one record header plus (for text) one text body, and the
-/// source sees precisely the skip-index access pattern: headers of the
-/// records on the authorized path, bodies of delivered text, and nothing
-/// of skipped subtrees.
+/// Streaming TCSBR decoder over a [`ByteSource`]. Instead of indexing a
+/// resident flat buffer it fetches each record's header and body on
+/// demand, so the bytes resident at any moment are one record header plus
+/// (for text) one text body, and the source sees precisely the skip-index
+/// access pattern: headers of the records on the authorized path, bodies
+/// of delivered text, and nothing of skipped subtrees.
 ///
-/// The navigation surface mirrors [`Decoder`] (same `SkipStack`
-/// semantics, same saved-[`DecoderContext`] readback protocol); returned
-/// [`DecodedNode`]s borrow the decoder's internal fetch buffer, so each
-/// node must be consumed before the next call.
+/// Returned [`DecodedNode`]s borrow the decoder's internal fetch buffer,
+/// so each node must be consumed before the next call.
 pub struct CursorDecoder<R: ByteSource> {
     src: R,
     pos: usize,
-    /// End of the root record (from the 4-byte header).
-    root_end: usize,
+    /// Implicit parent of the root record: the whole dictionary as tag
+    /// context, ending where the 4-byte header says the root record ends.
+    root: Level,
     stack: Vec<Level>,
     last_element: Option<DecoderContext>,
     last_desc: TagSet,
     desc_buf: Vec<TagId>,
-    root_tags: Arc<[TagId]>,
     done: bool,
     /// Scratch for the current record header.
     hdr: Vec<u8>,
     /// Scratch for the current text body.
     text: Vec<u8>,
-    /// Scratch for readback ranges (see [`CursorDecoder::read_range`]).
+    /// Scratch for readback ranges (see [`CursorDecoder::read_back`]).
     range: Vec<u8>,
     /// Total bytes fetched by `next` (skipped bytes are *not* counted —
     /// that is the point of the index).
@@ -508,21 +231,24 @@ impl<R: ByteSource> CursorDecoder<R> {
     /// size. Fetches the 4-byte root-record header immediately.
     pub fn new(mut src: R, dict_len: usize) -> Result<CursorDecoder<R>, CursorError<R::Error>> {
         if src.len() < 4 {
-            return Err(DecodeError { offset: 0, message: "missing header".into() }.into());
+            return Err(DecodeError::at(0, "missing header").into());
         }
         let mut hdr = Vec::with_capacity(4);
         src.fetch(0, 4, &mut hdr).map_err(CursorError::Source)?;
-        let root_end = 4 + u32::from_be_bytes(hdr[..4].try_into().expect("4 bytes")) as usize;
-        let root_tags: Arc<[TagId]> = (0..dict_len as u32).map(TagId).collect();
+        let root = Level {
+            tag: TagId::TEXT,
+            tags: (0..dict_len as u32).map(TagId).collect(),
+            body_bound: u32::MAX as u64,
+            end: 4 + u32::from_be_bytes(hdr[..4].try_into().expect("4 bytes")) as usize,
+        };
         Ok(CursorDecoder {
             src,
             pos: 4,
-            root_end,
+            root,
             stack: Vec::new(),
             last_element: None,
             last_desc: TagSet::new(),
             desc_buf: Vec::new(),
-            root_tags,
             done: false,
             hdr,
             text: Vec::new(),
@@ -546,17 +272,18 @@ impl<R: ByteSource> CursorDecoder<R> {
         self.src
     }
 
-    /// Descendant-tag set of the element most recently returned by
-    /// [`CursorDecoder::next`] — empty for leaves. Valid until the next
-    /// `next` call.
+    /// Descendant-tag set (`DescTag_e`, the decoded TagArray) of the
+    /// element most recently returned by [`CursorDecoder::next`] — empty
+    /// for leaves. Valid until the next `next` call.
     pub fn last_desc(&self) -> &TagSet {
         &self.last_desc
     }
 
     /// Tag-list context for decoding the children of the element most
-    /// recently opened by [`CursorDecoder::next`].
+    /// recently opened by [`CursorDecoder::next`] (shared with the
+    /// decoder's own stack — an `Arc` bump, no copy).
     pub fn current_tags(&self) -> Arc<[TagId]> {
-        self.stack.last().map(|l| l.tags.clone()).unwrap_or_else(|| self.root_tags.clone())
+        self.stack.last().unwrap_or(&self.root).tags.clone()
     }
 
     /// Current absolute byte position.
@@ -612,82 +339,45 @@ impl<R: ByteSource> CursorDecoder<R> {
             return Ok(DecodedNode::End);
         }
 
-        let (tags, bound, level_end) = match self.stack.last() {
-            Some(top) => (top.tags.clone(), top.body_bound, top.end),
-            None => (self.root_tags.clone(), u32::MAX as u64, self.root_end),
-        };
-        let record_start = self.pos;
-        let err = |offset, message: &str| {
-            CursorError::Decode(DecodeError { offset, message: message.into() })
-        };
-        // The widths of the fixed prefix (leaf bit, tag index, size) are
-        // known from the parent context before reading a single byte —
-        // fetch exactly that many, parse, then fetch the tag array whose
-        // presence and width the prefix reveals.
-        let tagw = width_for(tags.len().saturating_sub(1) as u64);
-        let sizew = width_for(bound);
-        let prefix_bits = (1 + tagw + sizew) as usize;
-        let prefix_bytes = prefix_bits.div_ceil(8);
-        self.hdr.clear();
-        self.src.fetch(record_start, prefix_bytes, &mut self.hdr).map_err(CursorError::Source)?;
-        let mut r = BitReader::at(&self.hdr, 0);
-        let leaf = r.read_bit().ok_or_else(|| err(record_start, "eof in leaf bit"))?;
-        let idx = r.read(tagw).ok_or_else(|| err(record_start, "eof in tag index"))? as usize;
-        let tag = *tags.get(idx).ok_or_else(|| err(record_start, "tag index out of context"))?;
-        let size = r.read(sizew).ok_or_else(|| err(record_start, "eof in size"))? as usize;
+        let parent = self.stack.last().unwrap_or(&self.root);
+        let start = self.pos;
+        let rec =
+            Self::parse_record(&mut self.src, &mut self.hdr, &mut self.desc_buf, start, parent)?;
+        self.bytes_read += rec.body_start - start;
         self.last_desc.clear();
-        self.desc_buf.clear();
-        let hdr_len = if leaf { prefix_bytes } else { (prefix_bits + tags.len()).div_ceil(8) };
-        if !leaf {
-            if hdr_len > prefix_bytes {
-                self.src
-                    .fetch(record_start + prefix_bytes, hdr_len - prefix_bytes, &mut self.hdr)
-                    .map_err(CursorError::Source)?;
-            }
-            // Re-read past the prefix (it can exceed 64 bits, so skip it
-            // with the same three reads rather than one).
-            let mut r = BitReader::at(&self.hdr, 0);
-            r.read_bit();
-            r.read(tagw);
-            r.read(sizew);
-            for &t in tags.iter() {
-                if r.read_bit().ok_or_else(|| err(record_start, "eof in tag array"))? {
-                    self.last_desc.insert(t);
-                    self.desc_buf.push(t);
-                }
-            }
+        for &t in &self.desc_buf {
+            self.last_desc.insert(t);
         }
-        let body_start = record_start + hdr_len;
-        let body_end = body_start + size;
-        if body_end > level_end {
-            return Err(err(record_start, "record overruns its parent"));
-        }
-        self.bytes_read += hdr_len;
-        if tag == TagId::TEXT {
+        if rec.tag == TagId::TEXT {
             if self.stack.is_empty() {
-                return Err(err(record_start, "text node at document root"));
+                return Err(DecodeError::at(start, "text node at document root").into());
             }
+            let size = rec.body_end - rec.body_start;
             self.text.clear();
-            self.src.fetch(body_start, size, &mut self.text).map_err(CursorError::Source)?;
+            self.src.fetch(rec.body_start, size, &mut self.text).map_err(CursorError::Source)?;
             let text = std::str::from_utf8(&self.text)
-                .map_err(|_| err(body_start, "invalid UTF-8 text"))?;
-            self.pos = body_end;
+                .map_err(|_| DecodeError::at(rec.body_start, "invalid UTF-8 text"))?;
+            self.pos = rec.body_end;
             self.bytes_read += size;
             return Ok(DecodedNode::Text(text));
         }
         // Element record. The child-context tag list is the only
         // per-record allocation (it outlives this record via saved
         // `DecoderContext`s).
-        let desc_list: Arc<[TagId]> = self.desc_buf.as_slice().into();
         self.last_element = Some(DecoderContext {
-            start: record_start,
-            end: body_end,
-            tags: tags.clone(),
-            body_bound: bound,
+            start,
+            end: rec.body_end,
+            tags: parent.tags.clone(),
+            body_bound: parent.body_bound,
         });
-        self.stack.push(Level { tag, tags: desc_list, body_bound: size as u64, end: body_end });
-        self.pos = body_start;
-        Ok(DecodedNode::Element { tag, body: (body_start, body_end) })
+        self.stack.push(Level {
+            tag: rec.tag,
+            tags: self.desc_buf.as_slice().into(),
+            body_bound: (rec.body_end - rec.body_start) as u64,
+            end: rec.body_end,
+        });
+        self.pos = rec.body_start;
+        Ok(DecodedNode::Element { tag: rec.tag, body: (rec.body_start, rec.body_end) })
     }
 
     /// Skips the element opened by the last [`DecodedNode::Element`]: a
@@ -704,27 +394,132 @@ impl<R: ByteSource> CursorDecoder<R> {
     /// Skips the remaining content of the current element (after some of
     /// its children were decoded) and pops it without emitting its close.
     pub fn skip_rest(&mut self) {
-        let level = self.stack.pop().expect("skip_rest without open element");
-        self.pos = level.end;
-        if self.stack.is_empty() {
-            self.done = true;
+        self.skip_current();
+    }
+
+    /// Re-decodes the records of a saved context into `out` (pending
+    /// readback, §5). The range may hold one subtree or a forest of
+    /// records. It is fetched in one pull through the source — metered
+    /// and verified like any other access — and parsed in place by the
+    /// same record parser as [`CursorDecoder::next`]; offsets in errors
+    /// stay absolute. Text events borrow the decoder's range buffer, so
+    /// `out` must be released before the next call on the decoder, and
+    /// one buffer serves every readback of a session. Navigation state
+    /// and `bytes_read` are untouched.
+    pub fn read_back<'s>(
+        &'s mut self,
+        ctx: &DecoderContext,
+        out: &mut Vec<Event<'s>>,
+    ) -> Result<(), CursorError<R::Error>> {
+        out.clear();
+        if ctx.end < ctx.start {
+            return Err(DecodeError::at(ctx.start, "inverted range").into());
+        }
+        let CursorDecoder { src, hdr, desc_buf, range, .. } = self;
+        range.clear();
+        src.fetch(ctx.start, ctx.end - ctx.start, range).map_err(CursorError::Source)?;
+        let data: &'s [u8] = &range[..];
+        // Positions below are relative to the range; errors are shifted
+        // back to document offsets.
+        let absolute = |e: CursorError<DecodeError>| {
+            let e = DecodeError::from(e);
+            CursorError::Decode(DecodeError { offset: ctx.start + e.offset, ..e })
+        };
+        // The bottom level is the range itself; it never closes.
+        let mut stack = vec![Level {
+            tag: TagId::TEXT,
+            tags: ctx.tags.clone(),
+            body_bound: ctx.body_bound,
+            end: data.len(),
+        }];
+        let mut pos = 0;
+        loop {
+            while let Some(top) = stack.last().filter(|l| l.end == pos) {
+                if stack.len() == 1 {
+                    return Ok(());
+                }
+                out.push(Event::Close(top.tag));
+                stack.pop();
+            }
+            let parent = stack.last().expect("range level");
+            let rec = Self::parse_record(&mut SliceSource(data), hdr, desc_buf, pos, parent)
+                .map_err(absolute)?;
+            if rec.tag == TagId::TEXT {
+                let text =
+                    std::str::from_utf8(&data[rec.body_start..rec.body_end]).map_err(|_| {
+                        absolute(DecodeError::at(rec.body_start, "invalid UTF-8 text").into())
+                    })?;
+                out.push(Event::Text(text.into()));
+                pos = rec.body_end;
+            } else {
+                out.push(Event::Open(rec.tag));
+                stack.push(Level {
+                    tag: rec.tag,
+                    tags: desc_buf.as_slice().into(),
+                    body_bound: (rec.body_end - rec.body_start) as u64,
+                    end: rec.body_end,
+                });
+                pos = rec.body_start;
+            }
         }
     }
 
-    /// Fetches the byte range of a saved context in one pull (pending
-    /// readback) and returns it; decode it in place with
-    /// [`Decoder::decode_range_at`] using `ctx.start` as the base. The
-    /// borrow ends before the next navigation call, so one internal
-    /// buffer serves every readback of a session.
-    pub fn read_range(&mut self, ctx: &DecoderContext) -> Result<&[u8], CursorError<R::Error>> {
-        if ctx.end < ctx.start {
-            return Err(DecodeError { offset: ctx.start, message: "inverted range".into() }.into());
+    /// Parses the header of the record at `start` under `parent`: the leaf
+    /// bit, tag index, subtree size and (for internal elements) the TagArray,
+    /// which is left in `desc`. Fetches exactly the header's bytes through
+    /// `src` into `hdr`. A record reaching past its parent's end — header or
+    /// body — is an error before anything past that end is fetched.
+    fn parse_record<S: ByteSource>(
+        src: &mut S,
+        hdr: &mut Vec<u8>,
+        desc: &mut Vec<TagId>,
+        start: usize,
+        parent: &Level,
+    ) -> Result<Record, CursorError<S::Error>> {
+        let err = |message: &str| CursorError::Decode(DecodeError::at(start, message));
+        let tags = &parent.tags;
+        // The widths of the fixed prefix (leaf bit, tag index, size) are
+        // known from the parent context before reading a single byte — fetch
+        // exactly that many, parse, then fetch the tag array whose presence
+        // and width the prefix reveals.
+        let tagw = width_for(tags.len().saturating_sub(1) as u64);
+        let sizew = width_for(parent.body_bound);
+        let prefix_bits = (1 + tagw + sizew) as usize;
+        let prefix_bytes = prefix_bits.div_ceil(8);
+        if start + prefix_bytes > parent.end {
+            return Err(err("record overruns its parent"));
         }
-        self.range.clear();
-        self.src
-            .fetch(ctx.start, ctx.end - ctx.start, &mut self.range)
-            .map_err(CursorError::Source)?;
-        Ok(&self.range)
+        hdr.clear();
+        src.fetch(start, prefix_bytes, hdr).map_err(CursorError::Source)?;
+        let mut r = BitReader::at(hdr, 0);
+        let leaf = r.read_bit().ok_or_else(|| err("eof in leaf bit"))?;
+        let idx = r.read(tagw).ok_or_else(|| err("eof in tag index"))? as usize;
+        let tag = *tags.get(idx).ok_or_else(|| err("tag index out of context"))?;
+        let size = r.read(sizew).ok_or_else(|| err("eof in size"))? as usize;
+        let hdr_len = if leaf { prefix_bytes } else { (prefix_bits + tags.len()).div_ceil(8) };
+        let body_end = start + hdr_len + size;
+        if body_end > parent.end {
+            return Err(err("record overruns its parent"));
+        }
+        desc.clear();
+        if !leaf {
+            if hdr_len > prefix_bytes {
+                src.fetch(start + prefix_bytes, hdr_len - prefix_bytes, hdr)
+                    .map_err(CursorError::Source)?;
+            }
+            // Re-read past the prefix (it can exceed 64 bits, so skip it with
+            // the same three reads rather than one).
+            let mut r = BitReader::at(hdr, 0);
+            r.read_bit();
+            r.read(tagw);
+            r.read(sizew);
+            for &t in tags.iter() {
+                if r.read_bit().ok_or_else(|| err("eof in tag array"))? {
+                    desc.push(t);
+                }
+            }
+        }
+        Ok(Record { tag, body_start: start + hdr_len, body_end })
     }
 }
 
@@ -734,11 +529,28 @@ mod tests {
     use crate::encode::{encode_document, Encoding};
     use xsac_xml::Document;
 
+    fn cursor(bytes: &[u8], dict_len: usize) -> CursorDecoder<SliceSource<'_>> {
+        CursorDecoder::new(SliceSource(bytes), dict_len).unwrap()
+    }
+
+    /// Every event of a full (skip-free) walk, owned.
+    fn decode_all(bytes: &[u8], dict_len: usize) -> Vec<Event<'static>> {
+        let mut d = cursor(bytes, dict_len);
+        let mut out = Vec::new();
+        loop {
+            out.push(match d.next().unwrap() {
+                DecodedNode::Element { tag, .. } => Event::Open(tag),
+                DecodedNode::Text(t) => Event::Text(t.to_owned().into()),
+                DecodedNode::Close(t) => Event::Close(t),
+                DecodedNode::End => return out,
+            });
+        }
+    }
+
     fn roundtrip(xml: &str) {
         let doc = Document::parse(xml).unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let events = Decoder::decode_all(&enc.bytes, doc.dict.len()).unwrap();
-        assert_eq!(events, doc.events(), "roundtrip of {xml}");
+        assert_eq!(decode_all(&enc.bytes, doc.dict.len()), doc.events(), "roundtrip of {xml}");
     }
 
     #[test]
@@ -765,7 +577,7 @@ mod tests {
     fn skip_current_lands_on_sibling() {
         let doc = Document::parse("<a><b><x>111</x><y>222</y></b><c>cc</c></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+        let mut d = cursor(&enc.bytes, doc.dict.len());
         let b = doc.dict.get("b").unwrap();
         let c = doc.dict.get("c").unwrap();
         // a
@@ -791,18 +603,19 @@ mod tests {
         .unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
         let full = {
-            let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+            let mut d = cursor(&enc.bytes, doc.dict.len());
             while !matches!(d.next().unwrap(), DecodedNode::End) {}
             d.bytes_read
         };
         let skipped = {
-            let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+            let mut d = cursor(&enc.bytes, doc.dict.len());
             d.next().unwrap(); // a
             d.next().unwrap(); // b
             d.skip_current();
             while !matches!(d.next().unwrap(), DecodedNode::End) {}
             d.bytes_read
         };
+        assert_eq!(full, enc.bytes.len(), "a full walk reads every byte once");
         assert!(skipped + 40 <= full, "skipping must save the text bytes: {skipped} vs {full}");
     }
 
@@ -810,12 +623,13 @@ mod tests {
     fn readback_matches_skipped_subtree() {
         let doc = Document::parse("<a><b><x>11</x><y>22</y></b><c>cc</c></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+        let mut d = cursor(&enc.bytes, doc.dict.len());
         d.next().unwrap(); // a
         d.next().unwrap(); // b
         let ctx = d.last_element_context().unwrap();
         d.skip_current();
-        let events = Decoder::decode_range(&enc.bytes, &ctx).unwrap();
+        let mut events = Vec::new();
+        d.read_back(&ctx, &mut events).unwrap();
         let b = doc.dict.get("b").unwrap();
         let x = doc.dict.get("x").unwrap();
         let y = doc.dict.get("y").unwrap();
@@ -832,13 +646,16 @@ mod tests {
                 Event::Close(b),
             ]
         );
+        // Readback leaves navigation where it was: c follows.
+        let c = doc.dict.get("c").unwrap();
+        assert!(matches!(d.next().unwrap(), DecodedNode::Element { tag, .. } if tag == c));
     }
 
     #[test]
     fn rest_context_covers_remaining_children() {
         let doc = Document::parse("<a><b>1</b><c>2</c><d>3</d></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+        let mut d = cursor(&enc.bytes, doc.dict.len());
         d.next().unwrap(); // a
         d.next().unwrap(); // b
         d.next().unwrap(); // "1"
@@ -846,7 +663,8 @@ mod tests {
         let ctx = d.rest_context().unwrap();
         d.skip_rest();
         assert!(matches!(d.next().unwrap(), DecodedNode::End));
-        let events = Decoder::decode_range(&enc.bytes, &ctx).unwrap();
+        let mut events = Vec::new();
+        d.read_back(&ctx, &mut events).unwrap();
         let c = doc.dict.get("c").unwrap();
         let dd = doc.dict.get("d").unwrap();
         assert_eq!(
@@ -866,7 +684,7 @@ mod tests {
     fn desc_tags_exposed_on_open() {
         let doc = Document::parse("<a><b><c>x</c></b></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+        let mut d = cursor(&enc.bytes, doc.dict.len());
         match d.next().unwrap() {
             DecodedNode::Element { .. } => {
                 let desc = d.last_desc();
@@ -890,28 +708,8 @@ mod tests {
     }
 
     #[test]
-    fn truncated_input_errors() {
-        let doc = Document::parse("<a><b>hello world</b></a>").unwrap();
-        let enc = encode_document(&doc, Encoding::TCSBR);
-        let truncated = &enc.bytes[..enc.bytes.len() - 4];
-        let mut d = Decoder::new(truncated, doc.dict.len()).unwrap();
-        let mut result = Ok(());
-        loop {
-            match d.next() {
-                Ok(DecodedNode::End) => break,
-                Ok(_) => {}
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        assert!(result.is_err(), "truncation must be detected");
-    }
-
-    #[test]
     fn garbage_header_errors() {
-        assert!(Decoder::new(&[1, 2], 5).is_err());
+        assert!(CursorDecoder::new(SliceSource(&[1, 2]), 5).is_err());
     }
 
     /// A `ByteSource` that counts fetched bytes — stands in for the
@@ -938,8 +736,12 @@ mod tests {
         }
     }
 
+    /// The cursor against the document's own event stream: the same
+    /// events, each element's TagArray equal to the tags below it, a
+    /// depth that tracks the open elements, body extents that agree with
+    /// the positions the walk reaches, and every byte read exactly once.
     #[test]
-    fn cursor_matches_slice_decoder_event_for_event() {
+    fn cursor_matches_document_events() {
         for xml in [
             "<a></a>",
             "<a><b>one</b><c>two</c></a>",
@@ -948,23 +750,48 @@ mod tests {
         ] {
             let doc = Document::parse(xml).unwrap();
             let enc = encode_document(&doc, Encoding::TCSBR);
-            let mut slice = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
-            let mut cursor = CursorDecoder::new(SliceSource(&enc.bytes), doc.dict.len()).unwrap();
-            loop {
-                let expect = slice.next().unwrap();
-                let desc_expect: Vec<_> = slice.last_desc().iter().collect();
-                let pos_expect = slice.position();
-                let got = cursor.next().unwrap();
-                assert_eq!(got, expect, "{xml}");
-                let done = matches!(got, DecodedNode::End);
-                assert_eq!(cursor.last_desc().iter().collect::<Vec<_>>(), desc_expect, "{xml}");
-                assert_eq!(cursor.position(), pos_expect, "{xml}");
-                assert_eq!(cursor.depth(), slice.depth(), "{xml}");
-                if done {
-                    break;
+            let expected = doc.events();
+            let mut d = cursor(&enc.bytes, doc.dict.len());
+            let mut ends = Vec::new();
+            for (i, want) in expected.iter().enumerate() {
+                let got = match d.next().unwrap() {
+                    DecodedNode::Element { tag, body } => {
+                        assert_eq!(body.0, d.position(), "{xml}");
+                        ends.push(body.1);
+                        Event::Open(tag)
+                    }
+                    DecodedNode::Text(t) => Event::Text(t.to_owned().into()),
+                    DecodedNode::Close(t) => {
+                        assert_eq!(ends.pop(), Some(d.position()), "{xml}");
+                        Event::Close(t)
+                    }
+                    DecodedNode::End => panic!("early end in {xml}"),
+                };
+                assert_eq!(&got, want, "{xml}");
+                assert_eq!(d.depth(), ends.len(), "{xml}");
+                if let Event::Open(_) = want {
+                    // Tags strictly inside this element, up to its close.
+                    let mut below = TagSet::new();
+                    let mut depth = 0usize;
+                    for ev in &expected[i + 1..] {
+                        match ev {
+                            Event::Open(t) => {
+                                below.insert(*t);
+                                depth += 1;
+                            }
+                            Event::Text(_) => {
+                                below.insert(TagId::TEXT);
+                            }
+                            Event::Close(_) if depth == 0 => break,
+                            Event::Close(_) => depth -= 1,
+                        }
+                    }
+                    assert_eq!(d.last_desc().to_vec(), below.to_vec(), "{xml}");
                 }
             }
-            assert_eq!(cursor.bytes_read, slice.bytes_read, "{xml}");
+            assert!(matches!(d.next().unwrap(), DecodedNode::End), "{xml}");
+            assert_eq!(d.position(), enc.bytes.len(), "{xml}");
+            assert_eq!(d.bytes_read, enc.bytes.len(), "{xml}");
         }
     }
 
@@ -999,32 +826,105 @@ mod tests {
     fn cursor_readback_decodes_from_fetched_range_only() {
         let doc = Document::parse("<a><b><x>11</x><y>22</y></b><c>cc</c></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = CursorDecoder::new(SliceSource(&enc.bytes), doc.dict.len()).unwrap();
+        let mut d =
+            CursorDecoder::new(CountingSource { data: &enc.bytes, fetched: 0 }, doc.dict.len())
+                .unwrap();
         d.next().unwrap(); // a
         d.next().unwrap(); // b
         let ctx = d.last_element_context().unwrap();
         d.skip_current();
-        // The readback decodes over a buffer holding only the saved range.
-        let data = d.read_range(&ctx).unwrap();
-        assert_eq!(data.len(), ctx.end - ctx.start);
+        let before = d.source().fetched;
         let mut events = Vec::new();
-        Decoder::decode_range_at(data, ctx.start, &ctx, &mut events).unwrap();
-        assert_eq!(events, Decoder::decode_range(&enc.bytes, &ctx).unwrap());
+        d.read_back(&ctx, &mut events).unwrap();
+        assert_eq!(events.len(), 8);
+        drop(events);
+        assert_eq!(d.source().fetched - before, ctx.end - ctx.start);
     }
 
     #[test]
-    fn decode_range_at_rejects_range_outside_data() {
+    fn read_back_rejects_range_outside_source() {
         let doc = Document::parse("<a><b>hello</b></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+        let mut d = cursor(&enc.bytes, doc.dict.len());
         d.next().unwrap(); // a
         d.next().unwrap(); // b
         let ctx = d.last_element_context().unwrap();
-        let mut out = Vec::new();
-        // Buffer starts after the range, or is too short: typed error.
-        let short = &enc.bytes[ctx.start..ctx.end - 1];
-        assert!(Decoder::decode_range_at(short, ctx.start, &ctx, &mut out).is_err());
-        assert!(Decoder::decode_range_at(&enc.bytes[..], ctx.start + 1, &ctx, &mut out).is_err());
+        // Past the end of the document, or inverted: typed errors.
+        let past = DecoderContext { end: enc.bytes.len() + 1, ..ctx.clone() };
+        assert!(d.read_back(&past, &mut Vec::new()).is_err());
+        let inverted = DecoderContext { start: ctx.end, end: ctx.start, ..ctx };
+        assert!(d.read_back(&inverted, &mut Vec::new()).is_err());
+    }
+
+    /// A readback whose record reaches past the saved range fails with
+    /// the same typed overrun error `next()` reports, at the record's
+    /// absolute offset.
+    #[test]
+    fn read_back_overrun_matches_next() {
+        let doc = Document::parse("<a><b><x>11</x><y>22</y></b><c>cc</c></a>").unwrap();
+        let enc = encode_document(&doc, Encoding::TCSBR);
+        let mut d = cursor(&enc.bytes, doc.dict.len());
+        d.next().unwrap(); // a
+        d.next().unwrap(); // b
+        let ctx = d.last_element_context().unwrap();
+        let short = DecoderContext { end: ctx.end - 1, ..ctx.clone() };
+        let err = d.read_back(&short, &mut Vec::new()).unwrap_err();
+        assert_eq!(
+            err,
+            CursorError::Decode(DecodeError::at(ctx.start, "record overruns its parent"))
+        );
+
+        // A child that overruns its parent inside the range: flip bits in
+        // b's body until a nested record overruns; `next()` and readback
+        // must then fail identically.
+        let mut nested = 0;
+        for bit in ctx.start * 8 + 8..ctx.end * 8 {
+            let mut bytes = enc.bytes.clone();
+            bytes[bit / 8] ^= 0x80 >> (bit % 8);
+            let mut d = cursor(&bytes, doc.dict.len());
+            d.next().unwrap(); // a
+            if d.next().map(|n| matches!(n, DecodedNode::Element { .. })) != Ok(true) {
+                continue;
+            }
+            let saved = d.last_element_context().unwrap();
+            if (saved.start, saved.end) != (ctx.start, ctx.end) {
+                continue;
+            }
+            let walk_err = loop {
+                if let Err(e) = d.next() {
+                    break Some(e);
+                }
+                if d.depth() < 2 {
+                    break None;
+                }
+            };
+            let Some(walk_err) = walk_err else { continue };
+            let read_err = d.read_back(&saved, &mut Vec::new()).unwrap_err();
+            assert_eq!(read_err, walk_err, "bit {bit}");
+            if let CursorError::Decode(e) = &read_err {
+                if e.message == "record overruns its parent" && e.offset > ctx.start {
+                    nested += 1;
+                }
+            }
+        }
+        assert!(nested > 0, "no bit flip produced a nested overrun");
+    }
+
+    /// Truncation under a saved range: the readback of the document's
+    /// last element fails typed.
+    #[test]
+    fn truncated_input_errors() {
+        let doc = Document::parse("<a><b>hello world</b></a>").unwrap();
+        let enc = encode_document(&doc, Encoding::TCSBR);
+        let ctx = {
+            let mut d = cursor(&enc.bytes, doc.dict.len());
+            d.next().unwrap(); // a
+            d.next().unwrap(); // b
+            d.last_element_context().unwrap()
+        };
+        let truncated = &enc.bytes[..enc.bytes.len() - 4];
+        let mut d = cursor(truncated, doc.dict.len());
+        assert!(d.read_back(&ctx, &mut Vec::new()).is_err(), "truncation must be detected");
     }
 
     #[test]

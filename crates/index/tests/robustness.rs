@@ -1,21 +1,31 @@
-//! Robustness: the decoder must never panic on hostile bytes — it either
-//! produces nodes or returns a `DecodeError`. (The integrity layer rejects
+//! Robustness: the decoder must never panic or hang on hostile bytes —
+//! navigation and readback alike either produce events or return a
+//! `DecodeError`. (The integrity layer rejects
 //! tampering before decoding in the real pipeline; the decoder still must
 //! not be the weak link, e.g. under scheme `ECB` which detects nothing.)
 
 use proptest::prelude::*;
-use xsac_index::decode::{DecodedNode, Decoder};
+use xsac_index::decode::{CursorDecoder, DecodedNode, SliceSource};
 use xsac_index::encode::{encode_document, Encoding};
 use xsac_xml::Document;
 
+/// Walks the whole stream; at every step it also reads back the range of
+/// the element just opened and the rest of the current element, so the
+/// readback path parses the same hostile bytes.
 fn drive(bytes: &[u8], dict_len: usize) -> Result<usize, xsac_index::DecodeError> {
-    let mut d = Decoder::new(bytes, dict_len)?;
-    let mut n = 0usize;
+    let mut d = CursorDecoder::new(SliceSource(bytes), dict_len)?;
     // Defensive cap: a malformed stream must not loop forever either.
-    for _ in 0..100_000 {
-        match d.next()? {
+    for n in 0..100_000 {
+        let opened = match d.next()? {
             DecodedNode::End => return Ok(n),
-            _ => n += 1,
+            node => matches!(node, DecodedNode::Element { .. }),
+        };
+        let saved = if opened { d.last_element_context() } else { None };
+        for ctx in saved.into_iter().chain(d.rest_context()) {
+            let mut events = Vec::new();
+            if d.read_back(&ctx, &mut events).is_ok() {
+                assert!(events.len() <= 2 * (ctx.end - ctx.start), "readback invented events");
+            }
         }
     }
     panic!("decoder did not terminate");

@@ -2,9 +2,9 @@
 //! for arbitrary documents, and skipping is position-exact everywhere.
 
 use proptest::prelude::*;
-use xsac_index::decode::{DecodedNode, Decoder};
+use xsac_index::decode::{CursorDecoder, DecodedNode, SliceSource};
 use xsac_index::encode::{encode_document, Encoding};
-use xsac_xml::{Document, Event};
+use xsac_xml::{Document, Event, Node};
 
 const TAGS: &[&str] = &["alpha", "b", "cc", "d1", "e"];
 
@@ -22,6 +22,20 @@ fn arb_xml() -> impl Strategy<Value = String> {
         .prop_map(|(t, cs)| format!("<{t}>{}</{t}>", cs.concat()))
 }
 
+/// Every event of a full (skip-free) cursor walk, owned.
+fn decode_all(bytes: &[u8], dict_len: usize) -> Vec<Event<'static>> {
+    let mut d = CursorDecoder::new(SliceSource(bytes), dict_len).unwrap();
+    let mut out = Vec::new();
+    loop {
+        out.push(match d.next().unwrap() {
+            DecodedNode::Element { tag, .. } => Event::Open(tag),
+            DecodedNode::Text(t) => Event::Text(t.to_owned().into()),
+            DecodedNode::Close(t) => Event::Close(t),
+            DecodedNode::End => return out,
+        });
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 192, ..Default::default() })]
 
@@ -29,7 +43,7 @@ proptest! {
     fn tcsbr_roundtrip(xml in arb_xml()) {
         let doc = Document::parse(&xml).unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let events = Decoder::decode_all(&enc.bytes, doc.dict.len()).unwrap();
+        let events = decode_all(&enc.bytes, doc.dict.len());
         prop_assert_eq!(events, doc.events(), "roundtrip of {}", xml);
     }
 
@@ -39,10 +53,10 @@ proptest! {
     fn skip_everywhere_is_position_exact(xml in arb_xml(), which in 0usize..8) {
         let doc = Document::parse(&xml).unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        // Reference: full event stream.
-        let full = Decoder::decode_all(&enc.bytes, doc.dict.len()).unwrap();
-        // Walk again, skipping the `which`-th element at depth 2.
-        let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+        // Reference: the document's full event stream.
+        let full = doc.events();
+        // Walk, skipping the `which`-th element at depth 2.
+        let mut d = CursorDecoder::new(SliceSource(&enc.bytes), doc.dict.len()).unwrap();
         let mut got: Vec<Event<'_>> = Vec::new();
         let mut seen = 0usize;
         let mut skipped_any = false;
@@ -61,7 +75,7 @@ proptest! {
                     }
                     got.push(Event::Open(tag));
                 }
-                DecodedNode::Text(t) => got.push(Event::Text(t.into())),
+                DecodedNode::Text(t) => got.push(Event::Text(t.to_owned().into())),
                 DecodedNode::Close(t) => got.push(Event::Close(t)),
             }
         }
@@ -105,12 +119,13 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Readback of any saved element context reproduces the subtree.
+    /// Readback of any saved element context reproduces exactly that
+    /// element's subtree, after the walk has moved past it.
     #[test]
     fn readback_everywhere(xml in arb_xml(), which in 0usize..6) {
         let doc = Document::parse(&xml).unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+        let mut d = CursorDecoder::new(SliceSource(&enc.bytes), doc.dict.len()).unwrap();
         let mut count = 0usize;
         let mut saved = None;
         loop {
@@ -125,21 +140,19 @@ proptest! {
                 _ => {}
             }
         }
-        if let Some(ctx) = saved {
-            let events = Decoder::decode_range(&enc.bytes, &ctx).unwrap();
-            prop_assert!(matches!(events.first(), Some(Event::Open(_))));
-            prop_assert!(matches!(events.last(), Some(Event::Close(_))));
-            // Balanced and self-contained.
-            let mut depth = 0i64;
-            for ev in &events {
-                match ev {
-                    Event::Open(_) => depth += 1,
-                    Event::Close(_) => depth -= 1,
-                    _ => {}
-                }
-                prop_assert!(depth >= 0);
-            }
-            prop_assert_eq!(depth, 0);
+        let element = doc
+            .preorder()
+            .into_iter()
+            .map(|(id, _)| id)
+            .filter(|&id| matches!(doc.node(id), Node::Element { .. }))
+            .nth(which);
+        prop_assert_eq!(saved.is_some(), element.is_some());
+        if let (Some(ctx), Some(id)) = (saved, element) {
+            let mut expected = Vec::new();
+            doc.emit(id, &mut |e| expected.push(e.clone().into_owned()));
+            let mut events = Vec::new();
+            d.read_back(&ctx, &mut events).unwrap();
+            prop_assert_eq!(events, expected);
         }
     }
 }

@@ -232,7 +232,7 @@ struct Entry {
 
 /// One row of a [`RegistrySnapshot`]: a registered document and its
 /// lifetime counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DocRow {
     /// The registered id.
     pub doc_id: String,
@@ -269,7 +269,7 @@ pub struct DocRow {
 
 /// Registry-level half of the service snapshot: per-document rows plus
 /// the shared pool's residency/eviction figures.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegistrySnapshot {
     /// One row per registered document, sorted by id.
     pub docs: Vec<DocRow>,
@@ -280,7 +280,7 @@ pub struct RegistrySnapshot {
     /// `Hello` frames naming an unregistered id.
     pub unknown_doc_rejections: u64,
     /// The shared pool's global residency budget.
-    pub budget_bytes: usize,
+    pub budget_bytes: u64,
     /// Pool bytes resident right now.
     pub resident_bytes_now: u64,
     /// Pool residency high-water mark.
@@ -293,16 +293,27 @@ pub struct RegistrySnapshot {
     pub pool_evictions: u64,
     /// Pool chunks dropped by document closes.
     pub pool_purged_chunks: u64,
-    /// Policy compilations reported across all tenants.
-    pub policy_compiles: u64,
-    /// Compiled-policy cache hits reported across all tenants.
-    pub policy_cache_hits: u64,
-    /// Σ rules dropped by containment minimization across all tenants.
-    pub rules_minimized: u64,
-    /// Σ reported phase nanoseconds, merged across every per-doc row.
-    pub phase_totals: PhaseProfile,
-    /// Request latency merged across every per-doc row.
-    pub request_latency: Histogram,
+}
+
+impl RegistrySnapshot {
+    /// The service-wide roll-up, *defined* as the merge of the per-doc
+    /// rows: every counter summed, phase profiles and request latency
+    /// merged — so rows sum to totals by construction (requests not
+    /// bound to a document are not timed). Its `policy_compiles`,
+    /// `phases` and `request_latency` are the service's compiler, phase
+    /// and latency totals. Identity fields stay empty.
+    pub fn total(&self) -> DocRow {
+        let mut total = DocRow::default();
+        for d in &self.docs {
+            for c in crate::stats::DOC_COUNTERS {
+                let sum = (c.get)(&total).saturating_add((c.get)(d));
+                (c.set)(&mut total, sum);
+            }
+            total.phases.merge(&d.phases);
+            total.request_latency.merge(&d.request_latency);
+        }
+        total
+    }
 }
 
 /// Maps doc-ids to served documents under one shared residency budget.
@@ -619,35 +630,18 @@ impl DocRegistry {
             })
             .collect();
         docs.sort_by(|a, b| a.doc_id.cmp(&b.doc_id));
-        let policy_compiles = docs.iter().map(|d| d.policy_compiles).sum();
-        let policy_cache_hits = docs.iter().map(|d| d.policy_cache_hits).sum();
-        let rules_minimized = docs.iter().map(|d| d.rules_minimized).sum();
-        // Service-wide phase/latency totals are *defined* as the merge
-        // of the per-doc rows, so rows-sum-to-totals holds by
-        // construction (requests not bound to a document are not timed).
-        let mut phase_totals = PhaseProfile::new();
-        let mut request_latency = Histogram::new();
-        for d in &docs {
-            phase_totals.merge(&d.phases);
-            request_latency.merge(&d.request_latency);
-        }
         RegistrySnapshot {
             docs,
             doc_opens: self.opens.load(Ordering::Relaxed),
             doc_closes: self.closes.load(Ordering::Relaxed),
             unknown_doc_rejections: self.unknown_docs.load(Ordering::Relaxed),
-            budget_bytes: self.pool.budget_bytes(),
+            budget_bytes: self.pool.budget_bytes() as u64,
             resident_bytes_now: self.pool.meter().resident_bytes_now(),
             resident_bytes_peak: self.pool.meter().resident_bytes_peak(),
             pool_fetches: self.pool.fetches(),
             pool_refetches: self.pool.refetches(),
             pool_evictions: self.pool.evictions(),
             pool_purged_chunks: self.pool.purged_chunks(),
-            policy_compiles,
-            policy_cache_hits,
-            rules_minimized,
-            phase_totals,
-            request_latency,
         }
     }
 }

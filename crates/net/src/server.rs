@@ -52,7 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use xsac_crypto::store::ChunkStore;
-use xsac_obs::{Histogram, PhaseProfile, Tick};
+use xsac_obs::Tick;
 use xsac_soe::ServerDoc;
 
 /// Pool budget backing the single-document [`ChunkServer::new`]
@@ -194,8 +194,10 @@ impl NetMetrics {
 
 /// Service-level roll-up: the server's connection/transport counters
 /// plus the registry's per-document and residency figures, taken
-/// together — the one structure an operator scrapes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// together — the one structure an operator scrapes. The service-wide
+/// compiler, phase and latency totals are the merge of the per-doc rows:
+/// [`RegistrySnapshot::total`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceSnapshot {
     /// Per-document rows and shared-pool residency.
     pub registry: RegistrySnapshot,
@@ -215,20 +217,6 @@ pub struct ServiceSnapshot {
     pub budget_evictions: u64,
     /// Connections rejected at the admission cap.
     pub admission_rejections: u64,
-    /// Policy compilations reported across all tenants (client-side
-    /// compiler events folded in via
-    /// [`DocRegistry::record_policy_compile`]).
-    pub policy_compiles: u64,
-    /// Compiled-policy cache hits reported across all tenants.
-    pub policy_cache_hits: u64,
-    /// Σ rules dropped by containment minimization across all tenants.
-    pub rules_minimized: u64,
-    /// Σ session phase nanoseconds reported by clients (`Report`
-    /// frames), merged across every per-doc row.
-    pub phase_totals: PhaseProfile,
-    /// Wall time of every doc-bound request, log-bucketed nanoseconds,
-    /// merged across every per-doc row.
-    pub request_latency: Histogram,
 }
 
 /// Serves the documents of a [`DocRegistry`] to concurrent network
@@ -592,11 +580,6 @@ fn reject_busy(mut stream: TcpStream, config: ServerConfig, live: u64, max: u64)
 fn service_snapshot(registry: &DocRegistry, metrics: &NetMetrics) -> ServiceSnapshot {
     let registry = registry.snapshot();
     ServiceSnapshot {
-        policy_compiles: registry.policy_compiles,
-        policy_cache_hits: registry.policy_cache_hits,
-        rules_minimized: registry.rules_minimized,
-        phase_totals: registry.phase_totals,
-        request_latency: registry.request_latency,
         registry,
         connections: metrics.connections(),
         requests: metrics.requests(),

@@ -2,6 +2,12 @@
 //! payload of the wire `Stats` frame, a Prometheus-style text render
 //! for scraping, and a dependency-free JSON render for tooling.
 //!
+//! Every scalar counter is named once, in one table per row kind
+//! ([`DocRow`], [`RegistrySnapshot`], [`ServiceSnapshot`]): its
+//! Prometheus series name plus the row field behind it, whose name is
+//! also the counter's flat JSON key. The wire codec and both renders
+//! iterate those tables, so the three surfaces cannot drift apart.
+//!
 //! The binary encoding is **versioned** ([`SNAPSHOT_VERSION`]) and
 //! decoded with the same hostile-input discipline as the rest of the
 //! wire layer: every read is bounds-checked through the frame
@@ -12,11 +18,9 @@
 //! buckets), so an idle service's snapshot stays small even though a
 //! [`Histogram`] spans 64 buckets.
 //!
-//! The service-level duplicates on [`ServiceSnapshot`]
-//! (`policy_compiles`, `phase_totals`, `request_latency`) are copies
-//! of the registry-level figures by construction, so they are not
-//! re-encoded: decode rebuilds them from the registry half, and the
-//! round trip is byte- and value-exact.
+//! The service-wide compiler counters, phase totals and request latency
+//! are not stored or shipped: they are the merge of the per-doc rows,
+//! [`RegistrySnapshot::total`].
 
 use crate::registry::{DocRow, RegistrySnapshot};
 use crate::server::ServiceSnapshot;
@@ -27,131 +31,130 @@ use xsac_obs::{Histogram, Phase, HISTOGRAM_BUCKETS};
 /// Version byte leading every serialized snapshot.
 pub const SNAPSHOT_VERSION: u8 = 1;
 
+/// One scalar counter of a snapshot row kind `R`.
+pub(crate) struct Counter<R> {
+    /// Prometheus series name.
+    pub(crate) name: &'static str,
+    /// JSON key: the row field's name.
+    pub(crate) key: &'static str,
+    /// Per-doc counters only: whether the service-wide sum over the rows
+    /// is exposed too, as the same series without `doc_`.
+    pub(crate) rolls_up: bool,
+    pub(crate) get: fn(&R) -> u64,
+    pub(crate) set: fn(&mut R, u64),
+}
+
+macro_rules! counter {
+    ($name:literal, $field:ident $(, $rolls_up:ident)?) => {
+        Counter {
+            name: $name,
+            key: stringify!($field),
+            rolls_up: counter!(@rolls_up $($rolls_up)?),
+            get: |r| r.$field,
+            set: |r, v| r.$field = v,
+        }
+    };
+    (@rolls_up) => { false };
+    (@rolls_up rolls_up) => { true };
+}
+
+/// Per-document counters, in wire order. The compiler counters are
+/// reported by clients and roll up into service-wide series.
+pub(crate) const DOC_COUNTERS: &[Counter<DocRow>] = &[
+    counter!("xsac_doc_requests_total", requests),
+    counter!("xsac_doc_chunks_served_total", chunks_served),
+    counter!("xsac_doc_bytes_served_total", bytes_served),
+    counter!("xsac_doc_fault_frames_total", fault_frames),
+    counter!("xsac_doc_opens", opens),
+    counter!("xsac_doc_closes", closes),
+    counter!("xsac_doc_policy_compiles_total", policy_compiles, rolls_up),
+    counter!("xsac_doc_policy_cache_hits_total", policy_cache_hits, rolls_up),
+    counter!("xsac_doc_rules_minimized_total", rules_minimized, rolls_up),
+];
+
+/// Registry lifecycle and shared-pool counters, in wire order.
+const REGISTRY_COUNTERS: &[Counter<RegistrySnapshot>] = &[
+    counter!("xsac_doc_opens_total", doc_opens),
+    counter!("xsac_doc_closes_total", doc_closes),
+    counter!("xsac_unknown_doc_rejections_total", unknown_doc_rejections),
+    counter!("xsac_pool_budget_bytes", budget_bytes),
+    counter!("xsac_pool_resident_bytes", resident_bytes_now),
+    counter!("xsac_pool_resident_bytes_peak", resident_bytes_peak),
+    counter!("xsac_pool_fetches_total", pool_fetches),
+    counter!("xsac_pool_refetches_total", pool_refetches),
+    counter!("xsac_pool_evictions_total", pool_evictions),
+    counter!("xsac_pool_purged_chunks_total", pool_purged_chunks),
+];
+
+/// Service-level transport counters, in wire order.
+const SERVICE_COUNTERS: &[Counter<ServiceSnapshot>] = &[
+    counter!("xsac_connections_total", connections),
+    counter!("xsac_requests_total", requests),
+    counter!("xsac_chunks_served_total", chunks_served),
+    counter!("xsac_bytes_served_total", bytes_served),
+    counter!("xsac_fault_frames_total", fault_frames),
+    counter!("xsac_slow_peer_evictions_total", slow_peer_evictions),
+    counter!("xsac_budget_evictions_total", budget_evictions),
+    counter!("xsac_admission_rejections_total", admission_rejections),
+];
+
 /// Serializes a snapshot into the `Stats` frame payload.
 pub fn encode_snapshot(snap: &ServiceSnapshot) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(SNAPSHOT_VERSION);
+    fn put_counters<R>(out: &mut Vec<u8>, table: &[Counter<R>], row: &R) {
+        for c in table {
+            put_u64(out, (c.get)(row));
+        }
+    }
+    let mut out = vec![SNAPSHOT_VERSION];
     let r = &snap.registry;
     put_u32(&mut out, u32::try_from(r.docs.len()).expect("doc count fits u32"));
     for d in &r.docs {
         put_str(&mut out, &d.doc_id);
         out.push(d.open as u8);
         out.push(d.lazy as u8);
-        for v in [
-            d.requests,
-            d.chunks_served,
-            d.bytes_served,
-            d.fault_frames,
-            d.opens,
-            d.closes,
-            d.policy_compiles,
-            d.policy_cache_hits,
-            d.rules_minimized,
-        ] {
-            put_u64(&mut out, v);
-        }
+        put_counters(&mut out, DOC_COUNTERS, d);
         put_profile(&mut out, &d.phases);
         put_histogram(&mut out, &d.request_latency);
     }
-    for v in [
-        r.doc_opens,
-        r.doc_closes,
-        r.unknown_doc_rejections,
-        r.budget_bytes as u64,
-        r.resident_bytes_now,
-        r.resident_bytes_peak,
-        r.pool_fetches,
-        r.pool_refetches,
-        r.pool_evictions,
-        r.pool_purged_chunks,
-        snap.connections,
-        snap.requests,
-        snap.chunks_served,
-        snap.bytes_served,
-        snap.fault_frames,
-        snap.slow_peer_evictions,
-        snap.budget_evictions,
-        snap.admission_rejections,
-    ] {
-        put_u64(&mut out, v);
-    }
+    put_counters(&mut out, REGISTRY_COUNTERS, r);
+    put_counters(&mut out, SERVICE_COUNTERS, snap);
     out
 }
 
 /// Decodes a `Stats` frame payload produced by [`encode_snapshot`].
 pub fn decode_snapshot(body: &[u8]) -> Result<ServiceSnapshot, WireError> {
+    fn get_counters<R>(
+        c: &mut Cursor<'_>,
+        table: &[Counter<R>],
+        row: &mut R,
+    ) -> Result<(), WireError> {
+        for counter in table {
+            (counter.set)(row, c.u64()?);
+        }
+        Ok(())
+    }
     let mut c = Cursor::new(body);
     if c.u8()? != SNAPSHOT_VERSION {
         return Err(WireError::Malformed("unknown snapshot version"));
     }
     let n_docs = c.u32()? as usize;
-    let mut docs = Vec::with_capacity(n_docs.min(1024));
+    let mut snap = ServiceSnapshot::default();
+    let docs = &mut snap.registry.docs;
+    docs.reserve(n_docs.min(1024));
     for _ in 0..n_docs {
-        let doc_id = c.str()?.to_owned();
-        let open = c.u8()? != 0;
-        let lazy = c.u8()? != 0;
-        docs.push(DocRow {
-            doc_id,
-            open,
-            lazy,
-            requests: c.u64()?,
-            chunks_served: c.u64()?,
-            bytes_served: c.u64()?,
-            fault_frames: c.u64()?,
-            opens: c.u64()?,
-            closes: c.u64()?,
-            policy_compiles: c.u64()?,
-            policy_cache_hits: c.u64()?,
-            rules_minimized: c.u64()?,
-            phases: get_profile(&mut c)?,
-            request_latency: get_histogram(&mut c)?,
-        });
+        let mut d = DocRow {
+            doc_id: c.str()?.to_owned(),
+            open: c.u8()? != 0,
+            lazy: c.u8()? != 0,
+            ..DocRow::default()
+        };
+        get_counters(&mut c, DOC_COUNTERS, &mut d)?;
+        d.phases = get_profile(&mut c)?;
+        d.request_latency = get_histogram(&mut c)?;
+        docs.push(d);
     }
-    // The totals are defined as the merge/sum of the rows — rebuild
-    // rather than trust (or ship) a second copy.
-    let mut phase_totals = xsac_obs::PhaseProfile::new();
-    let mut request_latency = Histogram::new();
-    for d in &docs {
-        phase_totals.merge(&d.phases);
-        request_latency.merge(&d.request_latency);
-    }
-    let policy_compiles = docs.iter().map(|d| d.policy_compiles).sum();
-    let policy_cache_hits = docs.iter().map(|d| d.policy_cache_hits).sum();
-    let rules_minimized = docs.iter().map(|d| d.rules_minimized).sum();
-    let registry = RegistrySnapshot {
-        docs,
-        doc_opens: c.u64()?,
-        doc_closes: c.u64()?,
-        unknown_doc_rejections: c.u64()?,
-        budget_bytes: c.u64()? as usize,
-        resident_bytes_now: c.u64()?,
-        resident_bytes_peak: c.u64()?,
-        pool_fetches: c.u64()?,
-        pool_refetches: c.u64()?,
-        pool_evictions: c.u64()?,
-        pool_purged_chunks: c.u64()?,
-        policy_compiles,
-        policy_cache_hits,
-        rules_minimized,
-        phase_totals,
-        request_latency,
-    };
-    let snap = ServiceSnapshot {
-        policy_compiles: registry.policy_compiles,
-        policy_cache_hits: registry.policy_cache_hits,
-        rules_minimized: registry.rules_minimized,
-        phase_totals: registry.phase_totals,
-        request_latency: registry.request_latency,
-        registry,
-        connections: c.u64()?,
-        requests: c.u64()?,
-        chunks_served: c.u64()?,
-        bytes_served: c.u64()?,
-        fault_frames: c.u64()?,
-        slow_peer_evictions: c.u64()?,
-        budget_evictions: c.u64()?,
-        admission_rejections: c.u64()?,
-    };
+    get_counters(&mut c, REGISTRY_COUNTERS, &mut snap.registry)?;
+    get_counters(&mut c, SERVICE_COUNTERS, &mut snap)?;
     c.finish("trailing snapshot bytes")?;
     Ok(snap)
 }
@@ -221,65 +224,31 @@ fn push_phases(out: &mut String, name: &str, labels: &str, p: &xsac_obs::PhasePr
 }
 
 /// Renders the snapshot in the Prometheus text exposition format:
-/// service counters, pool residency, per-phase time totals, latency
-/// quantiles, and one labelled series per document. Every counter of
-/// [`NetMetrics`](crate::NetMetrics),
-/// [`DocMetrics`](crate::DocMetrics) and the pool appears here — the
-/// counter-coverage test greps this output.
+/// service counters, their roll-ups over the documents, pool residency,
+/// per-phase time totals, latency quantiles, and one labelled series
+/// per document — one line per counter-table row.
 pub fn render_text(snap: &ServiceSnapshot) -> String {
     let mut out = String::new();
-    // Service-level transport counters.
-    for (name, v) in [
-        ("xsac_connections_total", snap.connections),
-        ("xsac_requests_total", snap.requests),
-        ("xsac_chunks_served_total", snap.chunks_served),
-        ("xsac_bytes_served_total", snap.bytes_served),
-        ("xsac_fault_frames_total", snap.fault_frames),
-        ("xsac_slow_peer_evictions_total", snap.slow_peer_evictions),
-        ("xsac_budget_evictions_total", snap.budget_evictions),
-        ("xsac_admission_rejections_total", snap.admission_rejections),
-        ("xsac_policy_compiles_total", snap.policy_compiles),
-        ("xsac_policy_cache_hits_total", snap.policy_cache_hits),
-        ("xsac_rules_minimized_total", snap.rules_minimized),
-    ] {
-        push_metric(&mut out, name, "", v);
-    }
-    // Registry / pool residency.
     let r = &snap.registry;
-    for (name, v) in [
-        ("xsac_doc_opens_total", r.doc_opens),
-        ("xsac_doc_closes_total", r.doc_closes),
-        ("xsac_unknown_doc_rejections_total", r.unknown_doc_rejections),
-        ("xsac_pool_budget_bytes", r.budget_bytes as u64),
-        ("xsac_pool_resident_bytes", r.resident_bytes_now),
-        ("xsac_pool_resident_bytes_peak", r.resident_bytes_peak),
-        ("xsac_pool_fetches_total", r.pool_fetches),
-        ("xsac_pool_refetches_total", r.pool_refetches),
-        ("xsac_pool_evictions_total", r.pool_evictions),
-        ("xsac_pool_purged_chunks_total", r.pool_purged_chunks),
-    ] {
-        push_metric(&mut out, name, "", v);
+    let total = r.total();
+    for c in SERVICE_COUNTERS {
+        push_metric(&mut out, c.name, "", (c.get)(snap));
     }
-    // Phase totals and request latency, service-wide then per document.
-    push_phases(&mut out, "xsac_phase_nanos_total", "", &snap.phase_totals);
-    push_histogram(&mut out, "xsac_request_latency_nanos", "", &snap.request_latency);
+    for c in DOC_COUNTERS.iter().filter(|c| c.rolls_up) {
+        push_metric(&mut out, &c.name.replacen("_doc_", "_", 1), "", (c.get)(&total));
+    }
+    for c in REGISTRY_COUNTERS {
+        push_metric(&mut out, c.name, "", (c.get)(r));
+    }
+    push_phases(&mut out, "xsac_phase_nanos_total", "", &total.phases);
+    push_histogram(&mut out, "xsac_request_latency_nanos", "", &total.request_latency);
     for d in &r.docs {
         let doc = format!("doc=\"{}\"", escape_label(&d.doc_id));
-        for (name, v) in [
-            ("xsac_doc_requests_total", d.requests),
-            ("xsac_doc_chunks_served_total", d.chunks_served),
-            ("xsac_doc_bytes_served_total", d.bytes_served),
-            ("xsac_doc_fault_frames_total", d.fault_frames),
-            ("xsac_doc_opens", d.opens),
-            ("xsac_doc_closes", d.closes),
-            ("xsac_doc_policy_compiles_total", d.policy_compiles),
-            ("xsac_doc_policy_cache_hits_total", d.policy_cache_hits),
-            ("xsac_doc_rules_minimized_total", d.rules_minimized),
-            ("xsac_doc_open", d.open as u64),
-            ("xsac_doc_lazy", d.lazy as u64),
-        ] {
-            push_metric(&mut out, name, &doc, v);
+        for c in DOC_COUNTERS {
+            push_metric(&mut out, c.name, &doc, (c.get)(d));
         }
+        push_metric(&mut out, "xsac_doc_open", &doc, d.open as u64);
+        push_metric(&mut out, "xsac_doc_lazy", &doc, d.lazy as u64);
         push_phases(&mut out, "xsac_doc_phase_nanos_total", &doc, &d.phases);
         push_histogram(&mut out, "xsac_doc_request_latency_nanos", &doc, &d.request_latency);
     }
@@ -322,71 +291,53 @@ fn json_phases(p: &xsac_obs::PhaseProfile) -> String {
     format!("{{{}}}", fields.join(","))
 }
 
-/// Renders the snapshot as a JSON object (no external dependencies —
-/// hand-rolled, matching the text exposition's field set).
+/// Appends `"key":value,` for each of `counters`.
+fn json_counters<'a, R: 'a>(
+    out: &mut String,
+    counters: impl IntoIterator<Item = &'a Counter<R>>,
+    row: &R,
+) {
+    for c in counters {
+        let _ = write!(out, "\"{}\":{},", c.key, (c.get)(row));
+    }
+}
+
+/// Renders the snapshot as a flat JSON object (no external
+/// dependencies — hand-rolled): the same counter tables as the text
+/// exposition, keyed by field name, then the phase and latency roll-ups
+/// and one object per document.
 pub fn render_json(snap: &ServiceSnapshot) -> String {
     let r = &snap.registry;
-    let docs: Vec<String> = r
-        .docs
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"doc_id\":\"{}\",\"open\":{},\"lazy\":{},\"requests\":{},\
-                 \"chunks_served\":{},\"bytes_served\":{},\"fault_frames\":{},\
-                 \"opens\":{},\"closes\":{},\"policy_compiles\":{},\
-                 \"policy_cache_hits\":{},\"rules_minimized\":{},\
-                 \"phases\":{},\"request_latency\":{}}}",
-                json_escape(&d.doc_id),
-                d.open,
-                d.lazy,
-                d.requests,
-                d.chunks_served,
-                d.bytes_served,
-                d.fault_frames,
-                d.opens,
-                d.closes,
-                d.policy_compiles,
-                d.policy_cache_hits,
-                d.rules_minimized,
-                json_phases(&d.phases),
-                json_histogram(&d.request_latency)
-            )
-        })
-        .collect();
-    format!(
-        "{{\"connections\":{},\"requests\":{},\"chunks_served\":{},\"bytes_served\":{},\
-         \"fault_frames\":{},\"slow_peer_evictions\":{},\"budget_evictions\":{},\
-         \"admission_rejections\":{},\"policy_compiles\":{},\"policy_cache_hits\":{},\
-         \"rules_minimized\":{},\"doc_opens\":{},\"doc_closes\":{},\
-         \"unknown_doc_rejections\":{},\"pool\":{{\"budget_bytes\":{},\
-         \"resident_bytes_now\":{},\"resident_bytes_peak\":{},\"fetches\":{},\
-         \"refetches\":{},\"evictions\":{},\"purged_chunks\":{}}},\
-         \"phase_totals\":{},\"request_latency\":{},\"docs\":[{}]}}",
-        snap.connections,
-        snap.requests,
-        snap.chunks_served,
-        snap.bytes_served,
-        snap.fault_frames,
-        snap.slow_peer_evictions,
-        snap.budget_evictions,
-        snap.admission_rejections,
-        snap.policy_compiles,
-        snap.policy_cache_hits,
-        snap.rules_minimized,
-        r.doc_opens,
-        r.doc_closes,
-        r.unknown_doc_rejections,
-        r.budget_bytes,
-        r.resident_bytes_now,
-        r.resident_bytes_peak,
-        r.pool_fetches,
-        r.pool_refetches,
-        r.pool_evictions,
-        r.pool_purged_chunks,
-        json_phases(&snap.phase_totals),
-        json_histogram(&snap.request_latency),
-        docs.join(",")
-    )
+    let total = r.total();
+    let mut out = String::from("{");
+    json_counters(&mut out, SERVICE_COUNTERS, snap);
+    json_counters(&mut out, DOC_COUNTERS.iter().filter(|c| c.rolls_up), &total);
+    json_counters(&mut out, REGISTRY_COUNTERS, r);
+    let _ = write!(
+        out,
+        "\"phase_totals\":{},\"request_latency\":{},\"docs\":[",
+        json_phases(&total.phases),
+        json_histogram(&total.request_latency)
+    );
+    for (i, d) in r.docs.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(
+            out,
+            "{sep}{{\"doc_id\":\"{}\",\"open\":{},\"lazy\":{},",
+            json_escape(&d.doc_id),
+            d.open,
+            d.lazy
+        );
+        json_counters(&mut out, DOC_COUNTERS, d);
+        let _ = write!(
+            out,
+            "\"phases\":{},\"request_latency\":{}}}",
+            json_phases(&d.phases),
+            json_histogram(&d.request_latency)
+        );
+    }
+    out.push_str("]}");
+    out
 }
 
 #[cfg(test)]
@@ -440,12 +391,6 @@ mod tests {
                 request_latency: latency_b,
             },
         ];
-        let mut phase_totals = PhaseProfile::new();
-        let mut request_latency = Histogram::new();
-        for d in &docs {
-            phase_totals.merge(&d.phases);
-            request_latency.merge(&d.request_latency);
-        }
         let registry = RegistrySnapshot {
             docs,
             doc_opens: 3,
@@ -458,18 +403,8 @@ mod tests {
             pool_refetches: 12,
             pool_evictions: 33,
             pool_purged_chunks: 8,
-            policy_compiles: 2,
-            policy_cache_hits: 5,
-            rules_minimized: 3,
-            phase_totals,
-            request_latency,
         };
         ServiceSnapshot {
-            policy_compiles: registry.policy_compiles,
-            policy_cache_hits: registry.policy_cache_hits,
-            rules_minimized: registry.rules_minimized,
-            phase_totals: registry.phase_totals,
-            request_latency: registry.request_latency,
             registry,
             connections: 6,
             requests: 19,
@@ -488,39 +423,7 @@ mod tests {
         let bytes = encode_snapshot(&snap);
         assert_eq!(decode_snapshot(&bytes).unwrap(), snap);
         // An empty service round-trips too.
-        let empty = ServiceSnapshot {
-            registry: RegistrySnapshot {
-                docs: Vec::new(),
-                doc_opens: 0,
-                doc_closes: 0,
-                unknown_doc_rejections: 0,
-                budget_bytes: 0,
-                resident_bytes_now: 0,
-                resident_bytes_peak: 0,
-                pool_fetches: 0,
-                pool_refetches: 0,
-                pool_evictions: 0,
-                pool_purged_chunks: 0,
-                policy_compiles: 0,
-                policy_cache_hits: 0,
-                rules_minimized: 0,
-                phase_totals: PhaseProfile::new(),
-                request_latency: Histogram::new(),
-            },
-            connections: 0,
-            requests: 0,
-            chunks_served: 0,
-            bytes_served: 0,
-            fault_frames: 0,
-            slow_peer_evictions: 0,
-            budget_evictions: 0,
-            admission_rejections: 0,
-            policy_compiles: 0,
-            policy_cache_hits: 0,
-            rules_minimized: 0,
-            phase_totals: PhaseProfile::new(),
-            request_latency: Histogram::new(),
-        };
+        let empty = ServiceSnapshot::default();
         assert_eq!(decode_snapshot(&encode_snapshot(&empty)).unwrap(), empty);
     }
 
@@ -534,6 +437,16 @@ mod tests {
             xsac_crypto::sha1::sha1(&bytes).iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(bytes.len(), GOLDEN_LEN);
         assert_eq!(hex, GOLDEN_SHA1);
+    }
+
+    /// The text exposition of the sample snapshot, pinned the same way:
+    /// scrapers key on the series names, labels and values.
+    #[test]
+    fn text_exposition_bytes_are_pinned() {
+        let text = render_text(&sample());
+        let hex: String =
+            xsac_crypto::sha1::sha1(text.as_bytes()).iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!((text.len(), hex.as_str()), (3782, "ab3ca5906a4fd33dccad1a4199873e4f9526490e"));
     }
 
     #[test]
@@ -581,6 +494,56 @@ mod tests {
         put_u64(&mut body, 1);
         let mut c = Cursor::new(&body);
         assert!(matches!(get_histogram(&mut c), Err(WireError::Malformed(_))));
+    }
+
+    /// Table-driven coverage: with every counter of every row kind set to
+    /// a distinct value, each table row shows up — under its series name
+    /// in the text exposition and under its key in the JSON render, the
+    /// per-doc roll-ups included.
+    #[test]
+    fn every_table_counter_is_rendered() {
+        let mut snap = ServiceSnapshot::default();
+        snap.registry.docs = vec![DocRow { doc_id: "d".to_owned(), ..DocRow::default() }; 2];
+        let mut next = 1_000u64;
+        let mut fresh = || {
+            next += 1;
+            next
+        };
+        for c in SERVICE_COUNTERS {
+            (c.set)(&mut snap, fresh());
+        }
+        for c in REGISTRY_COUNTERS {
+            (c.set)(&mut snap.registry, fresh());
+        }
+        for d in &mut snap.registry.docs {
+            for c in DOC_COUNTERS {
+                (c.set)(d, fresh());
+            }
+        }
+        let text = render_text(&snap);
+        let json = render_json(&snap);
+        let expect = |series: String, key: &str, v: u64| {
+            assert!(text.contains(&format!("{series} {v}\n")), "text lacks {series} {v}");
+            assert!(json.contains(&format!("\"{key}\":{v},")), "json lacks {key}:{v}");
+        };
+        for c in SERVICE_COUNTERS {
+            expect(c.name.to_owned(), c.key, (c.get)(&snap));
+        }
+        for c in REGISTRY_COUNTERS {
+            expect(c.name.to_owned(), c.key, (c.get)(&snap.registry));
+        }
+        let total = snap.registry.total();
+        for c in DOC_COUNTERS {
+            for d in &snap.registry.docs {
+                expect(format!("{}{{doc=\"d\"}}", c.name), c.key, (c.get)(d));
+            }
+            if c.rolls_up {
+                let sum: u64 = snap.registry.docs.iter().map(|d| (c.get)(d)).sum();
+                assert_eq!((c.get)(&total), sum);
+                expect(c.name.replacen("_doc_", "_", 1), c.key, sum);
+            }
+        }
+        assert_eq!(decode_snapshot(&encode_snapshot(&snap)).unwrap(), snap);
     }
 
     #[test]

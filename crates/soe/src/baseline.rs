@@ -16,7 +16,7 @@ use xsac_core::oracle::Oracle;
 use xsac_core::Policy;
 use xsac_crypto::chunk::DIGEST_RECORD;
 use xsac_crypto::TripleDes;
-use xsac_index::decode::{DecodedNode, Decoder};
+use xsac_index::decode::{CursorDecoder, DecodedNode, SliceSource};
 use xsac_index::encode::{encode_document, Encoding};
 use xsac_xml::{Document, Node, NodeId};
 use xsac_xpath::Automaton;
@@ -72,7 +72,8 @@ fn lwb_bytes(doc: &Document, policy: &Policy) -> usize {
     // Walk the decoder and the tree in parallel (both are in document
     // order) to learn every node's encoded extent.
     let encoded = encode_document(doc, Encoding::TCSBR);
-    let mut decoder = Decoder::new(&encoded.bytes, doc.dict.len()).expect("fresh encoding");
+    let mut decoder =
+        CursorDecoder::new(SliceSource(&encoded.bytes), doc.dict.len()).expect("fresh encoding");
     // Document-order node list (elements and text).
     let order: Vec<NodeId> = doc.preorder().into_iter().map(|(id, _)| id).collect();
     let mut idx = 0usize;
@@ -82,30 +83,31 @@ fn lwb_bytes(doc: &Document, policy: &Policy) -> usize {
     let mut granted_stack: Vec<bool> = Vec::new();
     loop {
         let before = decoder.position();
-        let node = decoder.next().expect("fresh encoding decodes");
-        let consumed = decoder.position() - before;
-        match node {
+        // `Some(is_text)` for a node record, `None` for a close.
+        let record = match decoder.next().expect("fresh encoding decodes") {
             DecodedNode::End => break,
-            DecodedNode::Close(_) => {
-                granted_stack.pop();
+            DecodedNode::Close(_) => None,
+            DecodedNode::Element { .. } => Some(false),
+            DecodedNode::Text(_) => Some(true),
+        };
+        let consumed = decoder.position() - before;
+        let Some(is_text) = record else {
+            granted_stack.pop();
+            continue;
+        };
+        let id = order[idx];
+        idx += 1;
+        if is_text {
+            debug_assert!(matches!(doc.node(id), Node::Text(_)));
+            if granted_stack.last() == Some(&true) {
+                bytes += consumed; // text record (header + body)
             }
-            DecodedNode::Element { .. } => {
-                let id = order[idx];
-                idx += 1;
-                debug_assert!(matches!(doc.node(id), Node::Element { .. }));
-                if kept.contains_key(&id) {
-                    bytes += consumed; // record header
-                }
-                granted_stack.push(kept.get(&id) == Some(&true));
+        } else {
+            debug_assert!(matches!(doc.node(id), Node::Element { .. }));
+            if kept.contains_key(&id) {
+                bytes += consumed; // record header
             }
-            DecodedNode::Text(_) => {
-                let id = order[idx];
-                idx += 1;
-                debug_assert!(matches!(doc.node(id), Node::Text(_)));
-                if granted_stack.last() == Some(&true) {
-                    bytes += consumed; // text record (header + body)
-                }
-            }
+            granted_stack.push(kept.get(&id) == Some(&true));
         }
     }
     bytes

@@ -28,9 +28,7 @@ use xsac_core::Policy;
 use xsac_crypto::protocol::AccessCost;
 use xsac_crypto::store::ChunkStore;
 use xsac_crypto::{LeafCache, ReadError, SoeReader, StoreError, TripleDes};
-use xsac_index::decode::{
-    ByteSource, CursorDecoder, CursorError, DecodedNode, Decoder, DecoderContext,
-};
+use xsac_index::decode::{ByteSource, CursorDecoder, CursorError, DecodedNode, DecoderContext};
 use xsac_obs::{Phase, PhaseProfile, SpanClock};
 use xsac_xpath::Automaton;
 
@@ -298,7 +296,7 @@ pub fn run_session_shared<S: ChunkStore>(
 
     // Span clock for the event loop: one clock read per decode↔evaluate
     // transition. Reader time (fetch/decrypt/hash) accrues inside
-    // `decoder.next()`/`read_range` calls — always under the Decode span
+    // `decoder.next()`/`read_back` calls — always under the Decode span
     // — and is subtracted out at the end, so the reported Decode figure
     // is decode-exclusive.
     let mut spans = PhaseProfile::new();
@@ -456,7 +454,7 @@ pub fn run_session_shared<S: ChunkStore>(
     let mut cost = source.reader.cost;
     // The reader's fetch/decrypt/hash time all accrued under the loop's
     // Decode span (the decoder's source is only pulled from
-    // `decoder.next()`/`read_range`, both timed as Decode) — subtract it
+    // `decoder.next()`/`read_back`, both timed as Decode) — subtract it
     // so Decode reports decoding proper. Saturating: the clocks are
     // read at different instants, so tiny inversions are possible.
     let reader_nanos = reader_phases.get(Phase::Fetch)
@@ -521,12 +519,11 @@ fn serve_readbacks<S: ChunkStore>(
             // Readback transfer + re-decode is decode-span work (its
             // reader costs are subtracted like any other fetch).
             clock.switch(spans, Phase::Decode);
-            let data = decoder.read_range(&ctx)?;
             // The events borrow the decoder's range buffer, so the vector
             // is per-readback local; its length is O(delivered events),
             // and only actually-delivered subtrees pay it.
-            let mut events: Vec<xsac_xml::Event<'_>> = Vec::new();
-            Decoder::decode_range_at(data, ctx.start, &ctx, &mut events)?;
+            let mut events = Vec::new();
+            decoder.read_back(&ctx, &mut events)?;
             clock.switch(spans, Phase::Evaluate);
             eval.readback_events(req.entry, &events);
             handles.remove(req.subtree.0);

@@ -10,10 +10,10 @@ use xsac::core::output::reassemble_to_string;
 use xsac::core::{Policy, Sign};
 use xsac::crypto::chunk::ChunkLayout;
 use xsac::crypto::{IntegrityScheme, TripleDes};
-use xsac::index::decode::Decoder;
+use xsac::index::decode::{CursorDecoder, DecodedNode, SliceSource};
 use xsac::index::encode::{encode_document, Encoding};
 use xsac::soe::{run_session, SessionConfig, SessionError, Strategy as SoeStrategy};
-use xsac::xml::Document;
+use xsac::xml::{Document, Event};
 
 const TAGS: &[&str] = &["a", "b", "c", "d"];
 const VALUES: &[&str] = &["1", "2", "secret-value", "x"];
@@ -89,7 +89,16 @@ proptest! {
     fn skip_index_roundtrip(xml in arb_doc()) {
         let doc = Document::parse(&xml).unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let events = Decoder::decode_all(&enc.bytes, doc.dict.len()).unwrap();
+        let mut d = CursorDecoder::new(SliceSource(&enc.bytes), doc.dict.len()).unwrap();
+        let mut events = Vec::new();
+        loop {
+            events.push(match d.next().unwrap() {
+                DecodedNode::Element { tag, .. } => Event::Open(tag),
+                DecodedNode::Text(t) => Event::Text(t.to_owned().into()),
+                DecodedNode::Close(t) => Event::Close(t),
+                DecodedNode::End => break,
+            });
+        }
         prop_assert_eq!(events, doc.events());
     }
 

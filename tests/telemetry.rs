@@ -133,13 +133,16 @@ fn stats_over_tcp_aggregates_rows_and_stays_monotone() {
     if obs::enabled() {
         for phase in [Phase::Decrypt, Phase::Evaluate, Phase::Decode] {
             assert!(
-                first.phase_totals.get(phase) > 0,
+                first.registry.total().phases.get(phase) > 0,
                 "no reported {} time reached the service roll-up",
                 phase.name()
             );
         }
-        assert!(first.request_latency.count() > 0, "no request was latency-timed");
-        assert!(first.request_latency.p99() >= first.request_latency.p50());
+        assert!(first.registry.total().request_latency.count() > 0, "no request was latency-timed");
+        assert!(
+            first.registry.total().request_latency.p99()
+                >= first.registry.total().request_latency.p50()
+        );
     }
 
     // Per-doc rows sum *exactly* to the service totals.
@@ -158,9 +161,13 @@ fn stats_over_tcp_aggregates_rows_and_stays_monotone() {
         lat_sum += row.request_latency.sum();
         requests += row.requests;
     }
-    assert_eq!(phases, first.phase_totals, "per-doc phase rows must sum to the service total");
-    assert_eq!(lat_count, first.request_latency.count());
-    assert_eq!(lat_sum, first.request_latency.sum());
+    assert_eq!(
+        phases,
+        first.registry.total().phases,
+        "per-doc phase rows must sum to the service total"
+    );
+    assert_eq!(lat_count, first.registry.total().request_latency.count());
+    assert_eq!(lat_sum, first.registry.total().request_latency.sum());
     assert!(requests <= first.requests, "doc-bound requests cannot exceed all requests");
 
     // The snapshot the wire carried round-trips its own encoding.
@@ -173,8 +180,11 @@ fn stats_over_tcp_aggregates_rows_and_stays_monotone() {
     assert!(second.requests >= first.requests);
     assert!(second.chunks_served >= first.chunks_served);
     assert!(second.bytes_served >= first.bytes_served);
-    assert!(second.phase_totals.total() >= first.phase_totals.total());
-    assert!(second.request_latency.count() >= first.request_latency.count());
+    assert!(second.registry.total().phases.total() >= first.registry.total().phases.total());
+    assert!(
+        second.registry.total().request_latency.count()
+            >= first.registry.total().request_latency.count()
+    );
     handle.shutdown().unwrap();
 }
 
@@ -309,7 +319,7 @@ fn hostile_stats_admin_and_report_frames_are_typed_and_survivable() {
     }
     let snap = fetch_stats(handle.addr(), &ClientConfig::default()).expect("stats");
     assert_eq!(
-        snap.phase_totals.get(Phase::Evaluate),
+        snap.registry.total().phases.get(Phase::Evaluate),
         123,
         "the reported profile must land on the bound doc"
     );
