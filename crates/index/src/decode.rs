@@ -479,40 +479,39 @@ impl<R: ByteSource> CursorDecoder<R> {
         let err = |message: &str| CursorError::Decode(DecodeError::at(start, message));
         let tags = &parent.tags;
         // The widths of the fixed prefix (leaf bit, tag index, size) are
-        // known from the parent context before reading a single byte — fetch
-        // exactly that many, parse, then fetch the tag array whose presence
-        // and width the prefix reveals.
+        // known from the parent context before reading a single byte, and
+        // the leaf bit alone says whether a TagArray of one bit per parent
+        // tag follows: fetch exactly the header, then parse it in one pass.
         let tagw = width_for(tags.len().saturating_sub(1) as u64);
         let sizew = width_for(parent.body_bound);
         let prefix_bits = (1 + tagw + sizew) as usize;
         let prefix_bytes = prefix_bits.div_ceil(8);
+        let overrun = || err("record overruns its parent");
         if start + prefix_bytes > parent.end {
-            return Err(err("record overruns its parent"));
+            return Err(overrun());
         }
         hdr.clear();
         src.fetch(start, prefix_bytes, hdr).map_err(CursorError::Source)?;
+        let leaf = BitReader::at(hdr, 0).read_bit().ok_or_else(|| err("eof in leaf bit"))?;
+        let hdr_len = if leaf { prefix_bytes } else { (prefix_bits + tags.len()).div_ceil(8) };
+        if start + hdr_len > parent.end {
+            return Err(overrun());
+        }
+        if hdr_len > prefix_bytes {
+            src.fetch(start + prefix_bytes, hdr_len - prefix_bytes, hdr)
+                .map_err(CursorError::Source)?;
+        }
         let mut r = BitReader::at(hdr, 0);
-        let leaf = r.read_bit().ok_or_else(|| err("eof in leaf bit"))?;
+        r.read_bit();
         let idx = r.read(tagw).ok_or_else(|| err("eof in tag index"))? as usize;
         let tag = *tags.get(idx).ok_or_else(|| err("tag index out of context"))?;
         let size = r.read(sizew).ok_or_else(|| err("eof in size"))? as usize;
-        let hdr_len = if leaf { prefix_bytes } else { (prefix_bits + tags.len()).div_ceil(8) };
         let body_end = start + hdr_len + size;
         if body_end > parent.end {
-            return Err(err("record overruns its parent"));
+            return Err(overrun());
         }
         desc.clear();
         if !leaf {
-            if hdr_len > prefix_bytes {
-                src.fetch(start + prefix_bytes, hdr_len - prefix_bytes, hdr)
-                    .map_err(CursorError::Source)?;
-            }
-            // Re-read past the prefix (it can exceed 64 bits, so skip it with
-            // the same three reads rather than one).
-            let mut r = BitReader::at(hdr, 0);
-            r.read_bit();
-            r.read(tagw);
-            r.read(sizew);
             for &t in tags.iter() {
                 if r.read_bit().ok_or_else(|| err("eof in tag array"))? {
                     desc.push(t);
