@@ -15,7 +15,7 @@
 //! to disk for documents larger than RAM (the [`FileStore`] backend).
 
 use crate::des::TripleDes;
-use crate::merkle::{fragment_hashes, merkle_root};
+use crate::merkle::node_table;
 use crate::modes::{cbc_encrypt_in_place, posxor_decrypt_in_place, posxor_encrypt_in_place, BLOCK};
 use crate::protocol::IntegrityScheme;
 use crate::sha1::{sha1, Digest};
@@ -190,9 +190,7 @@ impl<'k, E, F: FnMut(&[u8]) -> Result<(), E>> ChunkProtector<'k, E, F> {
             IntegrityScheme::Ecb => None,
             IntegrityScheme::CbcSha => plain_digest,
             IntegrityScheme::CbcShac => Some(sha1(&self.buf)),
-            IntegrityScheme::EcbMht => {
-                Some(merkle_root(&fragment_hashes(&self.buf, self.layout.fragment_size)))
-            }
+            IntegrityScheme::EcbMht => Some(node_table(&self.buf, self.layout.fragment_size)[0]),
         };
         self.phases.record(Phase::Hash, t);
         if let Some(d) = digest {

@@ -26,10 +26,11 @@
 //! * [`merkle`] — per-chunk Merkle trees over ciphertext fragments;
 //! * [`protocol`] — the four integrity schemes of Figure 11 (ECB,
 //!   CBC-SHA, CBC-SHAC, ECB-MHT) with SOE/terminal cost accounting; the
-//!   [`SoeReader`] caches each visited chunk's Merkle leaves so terminal
-//!   hashing is amortized to one chunk-length per visited chunk, and
-//!   pulls every ciphertext byte through the document's store — storage
-//!   failures surface as typed [`ReadError`]s, never panics.
+//!   [`SoeReader`] caches each visited chunk's Merkle node table so
+//!   terminal hashing is amortized to one chunk-length per visited chunk,
+//!   deciphers an ECB-MHT fragment block by block as reads first cover
+//!   it, and pulls every ciphertext byte through the document's store —
+//!   storage failures surface as typed [`ReadError`]s, never panics.
 
 pub mod chunk;
 pub mod des;

@@ -5,17 +5,19 @@
 //! |---|---|---|---|
 //! | `ECB` | position-XOR ECB | none | covering blocks only |
 //! | `CBC-SHA` | per-chunk CBC | SHA-1 over *plaintext* chunks | whole chunk decrypted & hashed |
-//! | `CBC-SHAC` | per-chunk CBC | SHA-1 over *ciphertext* chunks | whole chunk transferred & hashed, partial decryption |
-//! | `ECB-MHT` | position-XOR ECB | per-chunk Merkle tree over ciphertext fragments | covering fragments + log-size proof; one digest decryption per visited chunk |
+//! | `CBC-SHAC` | per-chunk CBC | SHA-1 over *ciphertext* chunks | whole chunk transferred, hashed & decrypted |
+//! | `ECB-MHT` | position-XOR ECB | per-chunk Merkle tree over ciphertext fragments | covering fragments + log-size proof read off the terminal's node table; covering blocks deciphered on first serve; one digest decryption per visited chunk |
 //!
 //! The [`SoeReader`] plays the SOE: every byte entering it is charged as
-//! communication, every block it deciphers as decryption, every byte it
-//! hashes as hashing — the quantities the cost model of `xsac-soe` turns
-//! into Figure-9/11/12 times. The terminal's own computations (fragment
-//! hashes, Merkle proofs) are free for the SOE but tracked for reporting
-//! as [`AccessCost::terminal_bytes_hashed`]; under ECB-MHT the terminal
-//! computes a chunk's leaf hashes *once per visited chunk* and serves
-//! every intra-chunk proof from that cache, so a skip-heavy session's
+//! communication, every byte served as decryption, every byte it hashes
+//! as hashing — the quantities the cost model of `xsac-soe` turns into
+//! Figure-9/11/12 times — and every byte that actually passes through
+//! 3DES is counted beside the model as
+//! [`AccessCost::bytes_deciphered`]. The terminal's own computations
+//! (fragment hashes, Merkle proofs) are free for the SOE but tracked for
+//! reporting as [`AccessCost::terminal_bytes_hashed`]; under ECB-MHT the
+//! terminal builds a chunk's Merkle node table *once per visited chunk*
+//! and reads every intra-chunk proof off it, so a skip-heavy session's
 //! terminal hashing is linear in the chunks visited, not quadratic in the
 //! fragments fetched per chunk.
 //!
@@ -31,12 +33,13 @@
 //! session's resident state is O(chunk), whatever the document size.
 //! Storage failures surface as [`ReadError::Store`] next to
 //! [`ReadError::Integrity`] — typed, never a panic — and the working
-//! buffer is discarded on *any* failed fetch, so no partial plaintext
-//! can be served from a failed or unverified unit.
+//! buffer (with its record of still-enciphered blocks) is discarded on
+//! *any* failed fetch, so no partial plaintext can be served from a
+//! failed or unverified unit.
 
 use crate::chunk::{decrypt_digest, ProtectedDoc, DIGEST_RECORD};
 use crate::des::TripleDes;
-use crate::merkle::{fragment_hashes_into, range_proof, root_from_range};
+use crate::merkle::{node_table, range_proof, root_from_range};
 use crate::modes::{cbc_decrypt_in_place, posxor_decrypt_in_place, BLOCK};
 use crate::sha1::{sha1, Digest};
 use crate::store::{ChunkStore, MemStore, StoreError};
@@ -139,18 +142,21 @@ impl From<StoreError> for ReadError {
 pub struct AccessCost {
     /// Bytes crossing the terminal→SOE channel.
     pub bytes_to_soe: u64,
-    /// Bytes deciphered inside the SOE.
+    /// Bytes deciphered inside the SOE, as the cost model charges them:
+    /// every byte served for the schemes that verify ciphertext
+    /// (CBC-SHAC, ECB-MHT), every byte fetched for the others, plus the
+    /// digest records.
     pub bytes_decrypted: u64,
     /// Bytes hashed inside the SOE.
     pub bytes_hashed: u64,
     /// Digest records deciphered inside the SOE.
     pub digests_decrypted: u64,
     /// Bytes hashed by the (free, untrusted) terminal. Under ECB-MHT this
-    /// is amortized by the leaf-hash cache: at most one chunk-length per
+    /// is amortized by the node-table cache: at most one chunk-length per
     /// visited chunk, however many fragments of it are fetched. When
     /// sessions share a [`LeafCache`], the **first toucher pays**: a
-    /// chunk's hashing is charged to the one session that computed its
-    /// leaves, every later session meters zero for it — so the sum across
+    /// chunk's hashing is charged to the one session that built its node
+    /// table, every later session meters zero for it — so the sum across
     /// all sessions over one document stays ≤ one document length.
     pub terminal_bytes_hashed: u64,
     /// Number of read requests.
@@ -165,6 +171,13 @@ pub struct AccessCost {
     /// Tracked block-granular by a terminal-side bitmap (1 bit per
     /// 8-byte block, ~doc/64 bytes — free, abundant terminal memory).
     pub bytes_refetched: u64,
+    /// Bytes that actually pass through 3DES inside the SOE, digest
+    /// records included — counted where the cipher is called, beside the
+    /// model figure [`bytes_decrypted`](AccessCost::bytes_decrypted).
+    /// Equal to it under ECB; under ECB-MHT each served range rounds out
+    /// to whole blocks (each deciphered once per fetch); under CBC-SHAC
+    /// every fetched chunk is deciphered whole.
+    pub bytes_deciphered: u64,
 }
 
 impl AccessCost {
@@ -177,21 +190,23 @@ impl AccessCost {
         self.terminal_bytes_hashed += other.terminal_bytes_hashed;
         self.reads += other.reads;
         self.bytes_refetched += other.bytes_refetched;
+        self.bytes_deciphered += other.bytes_deciphered;
     }
 }
 
-/// Terminal-side Merkle leaf-hash cache (ECB-MHT), shareable across
+/// Terminal-side Merkle node-table cache (ECB-MHT), shareable across
 /// sessions serving the same [`ProtectedDoc`].
 ///
 /// One lazily-initialized slot per chunk: the first session to fetch any
-/// fragment of a chunk computes (and is metered for) the chunk's leaf
-/// digests; every other fetch — same session or a concurrent one — derives
-/// its Merkle proofs from the cached leaves for free. Reads are lock-free
-/// (`OnceLock::get` on the hot path); the terminal is untrusted, abundant
-/// hardware (§2), so none of this occupies SOE memory, and a poisoned
-/// cache can at worst cause verification *failures*, never forged
-/// acceptance — the SOE still checks every proof against its decrypted
-/// chunk digest.
+/// fragment of a chunk builds (and is metered for) the chunk's pre-order
+/// [`node_table`] — `2m-1` digests for `m` fragments, ~600 bytes for the
+/// default layout; every other fetch — same session or a concurrent one —
+/// reads its Merkle proof off the cached table without hashing. Reads are
+/// lock-free (`OnceLock::get` on the hot path); the terminal is
+/// untrusted, abundant hardware (§2), so none of this occupies SOE
+/// memory, and a poisoned cache can at worst cause verification
+/// *failures*, never forged acceptance — the SOE still checks every proof
+/// against its decrypted chunk digest.
 pub struct LeafCache {
     chunks: Vec<OnceLock<Vec<Digest>>>,
 }
@@ -204,14 +219,14 @@ impl LeafCache {
         LeafCache { chunks }
     }
 
-    /// The chunk's cached leaf digests, if already computed.
+    /// The chunk's cached node table, if already built.
     fn get(&self, ci: usize) -> Option<&[Digest]> {
         self.chunks.get(ci).and_then(|c| c.get()).map(Vec::as_slice)
     }
 
-    /// The chunk's leaf digests, computed on first touch from `chunk`'s
+    /// The chunk's node table, built on first touch from `chunk`'s
     /// ciphertext bytes. `charge` runs exactly once per chunk across
-    /// *all* sharers — in the session that actually computes the hashes
+    /// *all* sharers — in the session that actually builds the table
     /// (first toucher pays).
     fn get_or_compute(
         &self,
@@ -221,19 +236,17 @@ impl LeafCache {
         charge: impl FnOnce(u64),
     ) -> &[Digest] {
         let mut computed = false;
-        let leaves = self.chunks[ci].get_or_init(|| {
-            let mut v = Vec::new();
-            fragment_hashes_into(chunk, fragment_size, &mut v);
+        let nodes = self.chunks[ci].get_or_init(|| {
             computed = true;
-            v
+            node_table(chunk, fragment_size)
         });
         if computed {
             charge(chunk.len() as u64);
         }
-        leaves
+        nodes
     }
 
-    /// Number of chunks whose leaves have been computed (diagnostics).
+    /// Number of chunks whose node tables have been built (diagnostics).
     pub fn warmed_chunks(&self) -> usize {
         self.chunks.iter().filter(|c| c.get().is_some()).count()
     }
@@ -246,31 +259,41 @@ impl LeafCache {
 /// The reader models a *streaming* SOE with a small working buffer: the
 /// most recently fetched unit (covering blocks within one chunk for ECB, a
 /// fragment for ECB-MHT, a chunk for the CBC schemes — all fit the SOE RAM
-/// of §2) stays decrypted in secure memory, so consecutive reads of nearby
-/// bytes are free. Random jumps refetch; that asymmetry is exactly what
-/// the paper's Figure 11 measures. The unit bound also bounds *terminal*
-/// residency: over an out-of-core store, a session keeps O(chunk) bytes
-/// in memory, never O(document), and reports its buffers to the store's
-/// [`ResidencyMeter`](crate::store::ResidencyMeter) when it has one.
+/// of §2) stays in secure memory, so consecutive reads of nearby bytes
+/// are free. ECB-MHT verifies the fragment's *ciphertext*, and
+/// position-XOR ECB deciphers any block on its own, so that unit stays
+/// enciphered once verified and each of its blocks is deciphered the
+/// first time a read covers it. Random jumps refetch; that asymmetry is
+/// exactly what the paper's Figure 11 measures. The unit bound also bounds
+/// *terminal* residency: over an out-of-core store, a session keeps
+/// O(chunk) bytes in memory, never O(document), and reports its buffers
+/// to the store's [`ResidencyMeter`](crate::store::ResidencyMeter) when
+/// it has one.
 pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     doc: &'a ProtectedDoc<S>,
     key: &'a TripleDes,
     /// Plaintext offset of the working buffer (meaningful when the
     /// buffer is non-empty).
     cache_start: usize,
-    /// Decrypted working buffer: plaintext of the last fetched unit. The
-    /// allocation is reused across fetches — ciphertext is staged in and
-    /// deciphered in place, so a session costs O(units-with-growth)
-    /// allocations, not O(blocks). Discarded whole on any failed fetch:
-    /// partial or unverified plaintext is never served.
+    /// Working buffer: the last fetched unit, deciphered in place — whole
+    /// on fetch, or block by block on first serve where `sealed` says so.
+    /// The allocation is reused across fetches, so a session costs
+    /// O(units-with-growth) allocations, not O(blocks). Discarded whole
+    /// on any failed fetch: partial or unverified plaintext is never
+    /// served.
     cache: Vec<u8>,
+    /// One bit per block of `cache` still enciphered (ECB-MHT only, set
+    /// once the unit is verified; empty for the other schemes). Cleared
+    /// with the buffer, so no block of a failed unit is ever deciphered.
+    sealed: Vec<u64>,
     /// Terminal-side chunk staging buffer: used only over stores without
-    /// a borrowed-slice fast path, to hash a cold chunk's Merkle leaves.
+    /// a borrowed-slice fast path, to build a cold chunk's Merkle node
+    /// table.
     chunk_scratch: Vec<u8>,
     /// Which chunk's ciphertext `chunk_scratch` currently holds, when
     /// valid — lets a cold ECB-MHT fetch serve its fragment from the
-    /// chunk it just read for leaf hashing instead of a second store
-    /// read. The store is read-only, so the copy never goes stale.
+    /// chunk it just read for hashing instead of a second store read.
+    /// The store is read-only, so the copy never goes stale.
     scratch_chunk: Option<usize>,
     /// Buffer bytes currently registered with the store's residency
     /// meter (0 when the store has none).
@@ -278,15 +301,19 @@ pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     /// Chunk digest decrypted last ("one digest per visited chunk in the
     /// worst case, when the chunks accessed are not contiguous").
     digest_cache: Option<(usize, Digest)>,
-    /// Terminal-side leaf-hash cache (ECB-MHT only). The terminal is
+    /// Clocked time spent deciphering digest records (ECB-MHT): sets the
+    /// per-block rate at which block-by-block deciphering is charged to
+    /// [`Phase::Decrypt`] (see `unseal`).
+    digest_nanos: u64,
+    /// Terminal-side node-table cache (ECB-MHT only). The terminal is
     /// free, untrusted and abundant hardware (§2), so it keeps every
-    /// visited chunk's leaves — for the whole session when the reader owns
-    /// the cache (created lazily on first MHT fetch), or across *all*
-    /// sessions over the document when a shared cache was supplied via
-    /// [`SoeReader::with_leaf_cache`]. Either way a chunk's fragments are
-    /// hashed at most once per cache lifetime, whatever the access pattern
-    /// — including the backward jumps of pending-subtree readbacks. None
-    /// of this occupies SOE memory.
+    /// visited chunk's node table — for the whole session when the reader
+    /// owns the cache (created lazily on first MHT fetch), or across
+    /// *all* sessions over the document when a shared cache was supplied
+    /// via [`SoeReader::with_leaf_cache`]. Either way a chunk is hashed
+    /// at most once per cache lifetime, whatever the access pattern —
+    /// including the backward jumps of pending-subtree readbacks. None of
+    /// this occupies SOE memory.
     leaves: Option<Arc<LeafCache>>,
     /// Terminal-side audit bitmap: one bit per 8-byte block that has
     /// crossed the channel at least once, so re-transfers are metered
@@ -303,9 +330,10 @@ pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     /// Accumulated costs.
     pub cost: AccessCost,
     /// Wall time per pipeline phase: staging charged to
-    /// [`Phase::Fetch`], cipher work to [`Phase::Decrypt`], digest work
-    /// to [`Phase::Hash`] (terminal leaf hashing included — it runs on
-    /// the same host here). Telemetry only: kept *outside* [`AccessCost`]
+    /// [`Phase::Fetch`], cipher work to [`Phase::Decrypt`] (ECB-MHT's
+    /// block-by-block deciphering at its digest-clocked rate), digest work
+    /// to [`Phase::Hash`] (terminal hashing included — it runs on the
+    /// same host here). Telemetry only: kept *outside* [`AccessCost`]
     /// because the differential harnesses compare costs exactly and
     /// timings are nondeterministic.
     pub phases: PhaseProfile,
@@ -319,10 +347,12 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
             key,
             cache_start: 0,
             cache: Vec::new(),
+            sealed: Vec::new(),
             chunk_scratch: Vec::new(),
             scratch_chunk: None,
             registered_resident: 0,
             digest_cache: None,
+            digest_nanos: 0,
             leaves: None,
             fetched_blocks: Vec::new(),
             held: Vec::new(),
@@ -398,6 +428,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
         let cached = self.cache_start..self.cache_start + self.cache.len();
         if !self.cache.is_empty() && offset < cached.start && end > cached.start {
             let take = end.min(cached.end) - cached.start;
+            self.unseal(0, take);
             self.held.extend_from_slice(&self.cache[..take]);
             self.held_start = cached.start;
             self.note_residency();
@@ -408,14 +439,14 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
             let cached = self.cache_start..self.cache_start + self.cache.len();
             if !self.cache.is_empty() && cached.contains(&pos) {
                 let take = (end - pos).min(cached.end - pos);
+                let lo = pos - self.cache_start;
+                self.unseal(lo, lo + take);
                 if let Some(out) = out.as_deref_mut() {
-                    let lo = pos - self.cache_start;
                     out.extend_from_slice(&self.cache[lo..lo + take]);
                 }
                 if matches!(self.doc.scheme, IntegrityScheme::CbcShac | IntegrityScheme::EcbMht) {
-                    // These schemes verify *ciphertext*; decryption
-                    // happens lazily, only for the bytes actually
-                    // consumed.
+                    // These schemes verify *ciphertext*; the model charges
+                    // decryption only for the bytes actually consumed.
                     self.cost.bytes_decrypted += take as u64;
                 }
                 pos += take;
@@ -463,18 +494,23 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
 
     /// Replaces the working buffer with the ciphertext range `lo..hi`
     /// read from the store, reusing its allocation. Resident stores are
-    /// copied from directly (the zero-copy fast path of PR 1); out-of-
-    /// core stores go through a bounded `read_at`. The caller
-    /// (`consume`) discards the buffer on any failure.
+    /// copied from directly (the zero-copy fast path), and so is a range
+    /// of the chunk the scratch buffer holds (a cold ECB-MHT fetch just
+    /// read it to hash); other out-of-core ranges go through a bounded
+    /// `read_at`. The caller (`consume`) discards the buffer on any
+    /// failure.
     /// Unmetered: every caller is a `fetch_unit` arm whose chained span
     /// clock is already in its Fetch lap (one clock read per phase
     /// transition for the whole unit — per-operation brackets here would
     /// double the clock traffic on 128-byte fragments).
     fn stage(&mut self, lo: usize, hi: usize) -> Result<(), ReadError> {
-        self.cache.clear();
+        self.drop_cache();
         self.cache_start = lo;
+        let scratch = self.scratch_chunk.map(|ci| self.doc.chunk_range(ci).start);
         if let Some(all) = self.doc.store.as_slice() {
             self.cache.extend_from_slice(&all[lo..hi]);
+        } else if let Some(s) = scratch.filter(|&s| s <= lo && hi <= s + self.chunk_scratch.len()) {
+            self.cache.extend_from_slice(&self.chunk_scratch[lo - s..hi - s]);
         } else {
             self.cache.resize(hi - lo, 0);
             self.doc.store.read_at(lo, &mut self.cache)?;
@@ -487,6 +523,38 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
     /// contents are unverified ciphertext or garbage).
     fn drop_cache(&mut self) {
         self.cache.clear();
+        self.sealed.clear();
+    }
+
+    /// Deciphers the still-enciphered blocks of the working buffer that
+    /// cover its bytes `lo..hi`, each once (a no-op for the eagerly
+    /// deciphered schemes and for blocks already served).
+    ///
+    /// Not clocked: a served range is a block or two, and a clock read
+    /// on each side of it would blow the span clock's <2% budget on
+    /// ECB-MHT sessions. The blocks are charged to [`Phase::Decrypt`] at
+    /// the per-block time this reader clocked deciphering its digest
+    /// records — the same primitive on blocks of the same size.
+    fn unseal(&mut self, lo: usize, hi: usize) {
+        if self.sealed.is_empty() {
+            return;
+        }
+        let first = (self.cache_start / BLOCK) as u64;
+        let mut blocks = 0u64;
+        for b in lo / BLOCK..hi.div_ceil(BLOCK) {
+            let (word, bit) = (b / 64, 1u64 << (b % 64));
+            if self.sealed[word] & bit != 0 {
+                self.sealed[word] &= !bit;
+                let block = &mut self.cache[b * BLOCK..(b + 1) * BLOCK];
+                posxor_decrypt_in_place(self.key, block, first + b as u64);
+                blocks += 1;
+            }
+        }
+        self.cost.bytes_deciphered += blocks * BLOCK as u64;
+        let digest_blocks = self.cost.digests_decrypted * (DIGEST_RECORD / BLOCK) as u64;
+        if blocks > 0 && digest_blocks > 0 {
+            self.phases.add_nanos(Phase::Decrypt, blocks * self.digest_nanos / digest_blocks);
+        }
     }
 
     /// Reports the reader's buffer footprint to the store's residency
@@ -553,6 +621,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 self.note_unit_fetched(f_lo, f_hi);
                 lap.switch(&mut self.phases, Phase::Decrypt);
                 posxor_decrypt_in_place(self.key, &mut self.cache, (f_lo / BLOCK) as u64);
+                self.cost.bytes_deciphered += (f_hi - f_lo) as u64;
                 lap.stop(&mut self.phases);
             }
             IntegrityScheme::CbcSha => {
@@ -569,6 +638,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 lap.switch(&mut self.phases, Phase::Decrypt);
                 cbc_decrypt_in_place(self.key, &mut self.cache, crate::chunk::chunk_iv(ci));
                 let expect = decrypt_digest(self.key, ci, self.digest_record(ci)?);
+                self.cost.bytes_deciphered += (chunk_len + DIGEST_RECORD) as u64;
                 lap.switch(&mut self.phases, Phase::Hash);
                 let got = sha1(&self.cache);
                 lap.stop(&mut self.phases);
@@ -589,28 +659,30 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 self.note_unit_fetched(chunk_range.start, chunk_range.end);
                 lap.switch(&mut self.phases, Phase::Decrypt);
                 let expect = decrypt_digest(self.key, ci, self.digest_record(ci)?);
+                self.cost.bytes_deciphered += DIGEST_RECORD as u64;
                 lap.switch(&mut self.phases, Phase::Hash);
                 let got = sha1(&self.cache);
                 if got != expect {
                     return Err(IntegrityError { chunk: ci }.into());
                 }
-                // CBC chaining allows decrypting just the needed blocks;
-                // decryption is charged per byte served (see `read`). The
-                // working buffer holds the verified chunk.
+                // The verified chunk is deciphered whole, though the model
+                // charges decryption only per byte served (see `consume`);
+                // `bytes_deciphered` records the difference.
                 lap.switch(&mut self.phases, Phase::Decrypt);
                 cbc_decrypt_in_place(self.key, &mut self.cache, crate::chunk::chunk_iv(ci));
+                self.cost.bytes_deciphered += chunk_len as u64;
                 lap.stop(&mut self.phases);
             }
             IntegrityScheme::EcbMht => {
                 // Unit: one fragment + its Merkle proof; per-fragment
                 // verification against the (cached) chunk digest.
                 let (f_lo, f_hi) = self.fragment_extent(pos);
-                // Terminal: leaf hashes of the chunk, computed at most
-                // once per chunk per cache lifetime — every further fetch
-                // in the chunk (even after jumping away and back, as
-                // pending readbacks do, or from a concurrent session
-                // sharing the cache) derives its proof from the cached
-                // leaves. The computing session alone is charged.
+                // Terminal: the chunk's node table, built at most once per
+                // chunk per cache lifetime — every further fetch in the
+                // chunk (even after jumping away and back, as pending
+                // readbacks do, or from a concurrent session sharing the
+                // cache) reads its proof off the cached table. The
+                // building session alone is charged.
                 let cache = match &self.leaves {
                     Some(c) => Arc::clone(c),
                     None => {
@@ -619,66 +691,60 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                         c
                     }
                 };
-                let leaves = self.chunk_leaves(&cache, ci, chunk_range.clone())?;
-                // One chained lap for the whole unit (Fetch → Hash →
-                // Decrypt): fragments are 128 bytes, so per-operation
-                // clock brackets here would cost more than the work they
-                // time — the A/B bench holds the whole span clock to <2%.
+                let nodes = self.chunk_nodes(&cache, ci, chunk_range.clone())?;
+                // One chained lap for the whole unit (Fetch → Hash, then
+                // Decrypt for a new digest): fragments are 128 bytes, so
+                // per-operation clock brackets here would cost more than
+                // the work they time — the A/B bench holds the whole span
+                // clock to <2%.
                 let mut lap = SpanClock::start(Phase::Fetch);
-                // Stage the fragment ciphertext into the working buffer.
-                // When the scratch buffer holds this chunk (the cold
-                // out-of-core leaf computation just read it), the
-                // fragment is a subrange of it — no second store read.
-                if self.scratch_chunk == Some(ci) {
-                    self.cache.clear();
-                    self.cache_start = f_lo;
-                    let start = chunk_range.start;
-                    self.cache.extend_from_slice(&self.chunk_scratch[f_lo - start..f_hi - start]);
-                    self.note_residency();
-                } else {
-                    self.stage(f_lo, f_hi)?;
-                }
+                self.stage(f_lo, f_hi)?;
                 // All fallible store reads are behind us: charge the unit.
                 self.cost.bytes_to_soe += (f_hi - f_lo) as u64;
                 self.note_unit_fetched(f_lo, f_hi);
                 let f_idx = (f_lo - chunk_range.start) / layout.fragment_size;
                 lap.switch(&mut self.phases, Phase::Hash);
-                let proof = range_proof(leaves, f_idx..f_idx + 1);
+                let proof = range_proof(nodes, f_idx..f_idx + 1);
                 self.cost.bytes_to_soe += (proof.len() * 20) as u64;
                 // SOE: hash the fragment, recombine, compare to digest.
                 self.cost.bytes_hashed += (f_hi - f_lo) as u64 + (proof.len() as u64 + 1) * 40;
                 let own = [sha1(&self.cache)];
-                let n_leaves = leaves.len();
+                let n_leaves = chunk_range.len().div_ceil(layout.fragment_size);
                 let root = root_from_range(n_leaves, f_idx..f_idx + 1, &own, &proof);
-                lap.switch(&mut self.phases, Phase::Decrypt);
                 let expect = match self.digest_cache {
                     Some((c, d)) if c == ci => d,
                     _ => {
+                        lap.switch(&mut self.phases, Phase::Decrypt);
                         self.cost.bytes_to_soe += DIGEST_RECORD as u64;
                         self.cost.digests_decrypted += 1;
                         self.cost.bytes_decrypted += DIGEST_RECORD as u64;
                         let d = decrypt_digest(self.key, ci, self.digest_record(ci)?);
+                        self.cost.bytes_deciphered += DIGEST_RECORD as u64;
                         self.digest_cache = Some((ci, d));
                         d
                     }
                 };
+                let decrypt_before = self.phases.get(Phase::Decrypt);
+                lap.stop(&mut self.phases);
+                self.digest_nanos += self.phases.get(Phase::Decrypt) - decrypt_before;
                 if root != expect {
                     return Err(IntegrityError { chunk: ci }.into());
                 }
-                // Decryption charged per byte served (position-XOR ECB
-                // deciphers any block independently).
-                posxor_decrypt_in_place(self.key, &mut self.cache, (f_lo / BLOCK) as u64);
-                lap.stop(&mut self.phases);
+                // Verified ciphertext stays enciphered: `consume` deciphers
+                // each block the first time a read covers it
+                // (position-XOR ECB deciphers any block on its own).
+                let words = (f_hi - f_lo).div_ceil(BLOCK).div_ceil(64);
+                self.sealed.resize(words, u64::MAX);
             }
         }
         Ok(())
     }
 
-    /// The chunk's Merkle leaf digests out of `cache`, computing them on
-    /// first touch. Over a borrowed-slice store the chunk bytes come for
-    /// free; out-of-core stores stage the chunk through the reader's
-    /// scratch buffer (a fallible, bounded read) only while cold.
-    fn chunk_leaves<'c>(
+    /// The chunk's Merkle node table out of `cache`, built on first
+    /// touch. Over a borrowed-slice store the chunk bytes come for free;
+    /// out-of-core stores stage the chunk through the reader's scratch
+    /// buffer (a fallible, bounded read) only while cold.
+    fn chunk_nodes<'c>(
         &mut self,
         cache: &'c LeafCache,
         ci: usize,
@@ -687,23 +753,23 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
         let fragment_size = self.doc.layout.fragment_size;
         // Warm lookups (every fragment fetch after the chunk's first)
         // must not touch the clock: this runs once per 128-byte unit.
-        if let Some(leaves) = cache.get(ci) {
-            return Ok(leaves);
+        if let Some(nodes) = cache.get(ci) {
+            return Ok(nodes);
         }
         if let Some(all) = self.doc.store.as_slice() {
             let cost = &mut self.cost;
             let phases = &mut self.phases;
             let t = Tick::now();
-            // The charge closure runs only when this call computed the
-            // leaves (first toucher), so a racing session that lost the
-            // compute records nothing.
+            // The charge closure runs only when this call built the
+            // table (first toucher), so a racing session that lost the
+            // build records nothing.
             return Ok(cache.get_or_compute(ci, &all[chunk_range], fragment_size, |n| {
                 cost.terminal_bytes_hashed += n;
                 phases.record(Phase::Hash, t);
             }));
         }
         // Cold chunk over an out-of-core store: stage its ciphertext in
-        // the scratch buffer to hash the leaves. Two racing sessions may
+        // the scratch buffer to build the table. Two racing sessions may
         // both stage, but only the one whose init closure runs is charged
         // (first toucher pays), exactly as on the in-memory path.
         let t = Tick::now();
@@ -921,10 +987,12 @@ mod tests {
             terminal_bytes_hashed: warm.cost.terminal_bytes_hashed - before.terminal_bytes_hashed,
             reads: warm.cost.reads - before.reads,
             bytes_refetched: warm.cost.bytes_refetched - before.bytes_refetched,
+            bytes_deciphered: warm.cost.bytes_deciphered - before.bytes_deciphered,
         };
         assert_eq!(warm_delta.bytes_to_soe, fresh.cost.bytes_to_soe - DIGEST_RECORD as u64);
         assert_eq!(warm_delta.bytes_decrypted, fresh.cost.bytes_decrypted - DIGEST_RECORD as u64);
         assert_eq!(warm_delta.bytes_hashed, fresh.cost.bytes_hashed);
+        assert_eq!(warm_delta.bytes_deciphered, fresh.cost.bytes_deciphered - DIGEST_RECORD as u64);
         assert_eq!(warm_delta.digests_decrypted, 0, "digest cache holds");
         assert_eq!(warm_delta.terminal_bytes_hashed, 0, "leaf cache holds");
     }
@@ -1087,6 +1155,77 @@ mod tests {
         bad.ciphertext_mut()[10] ^= 1;
         let mut t = SoeReader::new(&bad, &k);
         assert!(t.touch(8, 8).is_err());
+    }
+
+    #[test]
+    fn mht_serve_from_fragment_tail_then_backward_is_exact() {
+        // The first serve of a verified fragment deciphers only its last
+        // block; later backward reads inside the fragment decipher the
+        // rest on demand, each block once, without refetching.
+        let (p, data) = doc(IntegrityScheme::EcbMht, 4096);
+        let k = key();
+        let fs = p.layout.fragment_size;
+        let mut r = SoeReader::new(&p, &k);
+        let tail = 2 * fs - BLOCK;
+        assert_eq!(r.read(tail + 2, 6).unwrap(), &data[tail + 2..tail + BLOCK]);
+        assert_eq!(r.cost.bytes_deciphered, (DIGEST_RECORD + BLOCK) as u64);
+        let fetched = r.cost.bytes_to_soe;
+        assert_eq!(r.read(fs + 10, 50).unwrap(), &data[fs + 10..fs + 60]);
+        assert_eq!(r.read(fs, fs).unwrap(), &data[fs..2 * fs]);
+        assert_eq!(r.cost.bytes_to_soe, fetched, "served from the working buffer");
+        assert_eq!(r.cost.bytes_deciphered, (DIGEST_RECORD + fs) as u64, "each block once");
+    }
+
+    #[test]
+    fn touch_then_read_deciphers_each_block_once() {
+        let (p, data) = doc(IntegrityScheme::EcbMht, 4096);
+        let k = key();
+        let mut r = SoeReader::new(&p, &k);
+        r.touch(200, 30).unwrap();
+        // 200..230 lies in blocks 25..=28.
+        let after_touch = r.cost.bytes_deciphered;
+        assert_eq!(after_touch, (DIGEST_RECORD + 4 * BLOCK) as u64);
+        assert_eq!(r.read(200, 30).unwrap(), &data[200..230]);
+        assert_eq!(r.cost.bytes_deciphered, after_touch, "touched blocks are not deciphered again");
+    }
+
+    #[test]
+    fn mht_request_overlapping_buffer_from_below_is_exact() {
+        // The set-aside (`held`) path under ECB-MHT: the overlap with the
+        // resident fragment is deciphered before it is set aside, and
+        // served without a refetch.
+        let (p, data) = doc(IntegrityScheme::EcbMht, 4096);
+        let k = key();
+        let fs = p.layout.fragment_size;
+        let mut r = SoeReader::new(&p, &k);
+        r.read(fs + 16, 8).unwrap(); // working buffer: fragment 1, one block deciphered
+        let before = r.cost;
+        assert_eq!(r.read(fs - 28, 60).unwrap(), &data[fs - 28..fs + 32]);
+        assert_eq!(
+            r.cost.bytes_refetched, before.bytes_refetched,
+            "resident overlap not refetched"
+        );
+        // Three new blocks of the held overlap, four of fragment 0.
+        assert_eq!(r.cost.bytes_deciphered - before.bytes_deciphered, (7 * BLOCK) as u64);
+    }
+
+    #[test]
+    fn failed_fetch_after_partly_deciphered_unit_leaves_nothing_servable() {
+        let (p, data) = doc(IntegrityScheme::EcbMht, 8192);
+        let k = key();
+        let faulty = p.map_store(FaultStore::new);
+        let mut r = SoeReader::new(&faulty, &k);
+        assert_eq!(r.read(120, 4).unwrap(), &data[120..124]); // one block of fragment 0
+        faulty.store.fail_read(faulty.store.reads_seen(), InjectedFault::Io);
+        let err = r.read(4096, 8).unwrap_err();
+        assert!(matches!(err, ReadError::Store(StoreError::Io { .. })), "{err:?}");
+        assert!(r.cache.is_empty() && r.sealed.is_empty(), "unit and bitmap must be discarded");
+        // The discarded fragment is not served again: once its stored
+        // bytes are corrupted, the same read fails verification.
+        faulty.store.corrupt(64, 1);
+        assert!(matches!(r.read(120, 4), Err(ReadError::Integrity(_))));
+        // An intact fragment of the same chunk still reads exactly.
+        assert_eq!(r.read(131, 20).unwrap(), &data[131..151]);
     }
 
     #[test]

@@ -192,7 +192,8 @@ mod tests {
             digests_decrypted: 3,
             terminal_bytes_hashed: 1_000_000, // free: terminal work
             reads: 7,
-            bytes_refetched: 50, // already part of bytes_to_soe
+            bytes_refetched: 50,   // already part of bytes_to_soe
+            bytes_deciphered: 120, // actual work, not a model input
         };
         let t = m.time_of(&cost, 10);
         assert_eq!(t, m.time(100, 100, 100, 10));

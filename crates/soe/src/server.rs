@@ -7,7 +7,7 @@
 //! per document:
 //!
 //! * a cross-session **terminal leaf-hash cache** ([`LeafCache`]): under
-//!   ECB-MHT, a chunk's Merkle leaves are computed once per *document*
+//!   ECB-MHT, a chunk's Merkle node table is built once per *document*
 //!   (first toucher pays, lock-free warm reads), not once per session;
 //! * a per-role **compiled-policy cache**: rule automata and
 //!   `USER`-resolved comparison literals compile once per role
