@@ -91,14 +91,13 @@ pub struct EvalResult {
     pub stats: EvalStats,
 }
 
-/// How a [`CompiledPolicy`] was built. Part of any compiled-policy cache
-/// key: a cached unminimized policy must never be served where a minimized
-/// one is expected (and vice versa in differential tests).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// How [`CompiledPolicy::with_mode`] builds a policy: the minimized
+/// production build, or the verbatim baseline differential tests and
+/// benchmarks hold it against.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CompilerMode {
     /// Containment-based rule minimization ran before IR generation (the
-    /// default).
-    #[default]
+    /// production build, [`CompiledPolicy::compile`]).
     Minimized,
     /// Every source rule compiled as written (differential baseline).
     Unminimized,
@@ -135,14 +134,14 @@ impl MinimizeStats {
 ///    shadowed next to an ancestor deny-rest, duplicate/mutually-contained
 ///    same-signed rules — are dropped before any automaton is laid out,
 ///    shrinking the bank every event is run against. Recorded in
-///    [`MinimizeStats`]; disabled by
-///    [`CompiledPolicy::without_minimization`] for differential testing.
+///    [`MinimizeStats`]; disabled by [`CompilerMode::Unminimized`] for
+///    differential testing.
 /// 2. **Flat IR**: the surviving automata are merged into one contiguous
 ///    [`InstrSeq`] with `USER`-resolved comparison literals indexed by
 ///    global predicate id.
 ///
 /// Sharing the result via `Arc` lets a multi-session server pay the
-/// compile cost **once per (role, mode)** instead of once per session
+/// compile cost **once per role** instead of once per session
 /// ([`Evaluator::with_compiled`]). The type is `Send + Sync`, so one
 /// compiled policy can serve any number of concurrent sessions.
 pub struct CompiledPolicy {
@@ -153,7 +152,6 @@ pub struct CompiledPolicy {
     /// Comparison literals with `USER` resolved, indexed by *global*
     /// predicate id.
     cmp_values: Vec<Option<Arc<str>>>,
-    mode: CompilerMode,
     stats: MinimizeStats,
 }
 
@@ -161,12 +159,6 @@ impl CompiledPolicy {
     /// Compiles a policy with minimization on (the production path).
     pub fn compile(policy: &Policy) -> CompiledPolicy {
         Self::with_mode(policy, CompilerMode::Minimized)
-    }
-
-    /// Compiles every rule as written — the escape hatch differential
-    /// tests hold against the minimized build.
-    pub fn without_minimization(policy: &Policy) -> CompiledPolicy {
-        Self::with_mode(policy, CompilerMode::Unminimized)
     }
 
     /// Compiles a policy under an explicit [`CompilerMode`].
@@ -206,17 +198,12 @@ impl CompiledPolicy {
             ir_instructions: ir.len(),
             ir_predicates: ir.preds.len(),
         };
-        CompiledPolicy { ir, signs, cmp_values, mode, stats }
+        CompiledPolicy { ir, signs, cmp_values, stats }
     }
 
     /// Number of compiled (surviving) rules.
     pub fn rule_count(&self) -> usize {
         self.signs.len()
-    }
-
-    /// The mode this policy was compiled under.
-    pub fn mode(&self) -> CompilerMode {
-        self.mode
     }
 
     /// What the compiler did (minimization + IR size).
@@ -710,11 +697,6 @@ impl Evaluator {
                 }
             }
         }
-    }
-
-    /// True while inside a bulk-delivered subtree.
-    pub fn in_raw_mode(&self) -> bool {
-        self.raw_active
     }
 
     /// Drains pending readback requests (subtrees whose condition resolved

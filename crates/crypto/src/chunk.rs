@@ -7,12 +7,13 @@
 //! fragments are introduced to allow random accesses inside a chunk and
 //! the block is the unit of encryption."
 //!
-//! Protection is **chunk-at-a-time**: [`protect_chunks`] encrypts and
+//! Protection is **chunk-at-a-time**: a [`ChunkProtector`] encrypts and
 //! digests one chunk buffer per iteration and hands it to a sink, so
 //! neither the padded plaintext nor the ciphertext is ever materialized
 //! as a whole. [`ProtectedDoc::protect`] collects the chunks into a
-//! [`MemStore`]; [`ProtectedDoc::protect_to_file`] streams them straight
-//! to disk for documents larger than RAM (the [`FileStore`] backend).
+//! [`MemStore`]; `ServerDoc::prepare_to_store` (in `xsac-soe`) streams
+//! them straight to disk for documents larger than RAM (the
+//! [`FileStore`] backend).
 
 use crate::des::TripleDes;
 use crate::merkle::node_table;
@@ -20,7 +21,7 @@ use crate::modes::{cbc_encrypt_in_place, posxor_decrypt_in_place, posxor_encrypt
 use crate::protocol::IntegrityScheme;
 use crate::sha1::{sha1, Digest};
 use crate::store::{ChunkStore, FileStore, MemStore};
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::path::Path;
 use xsac_obs::{Phase, PhaseProfile, Tick};
 
@@ -232,32 +233,11 @@ impl<'k, E, F: FnMut(&[u8]) -> Result<(), E>> ChunkProtector<'k, E, F> {
     }
 }
 
-/// Encrypts and authenticates `plaintext` chunk-at-a-time, handing each
-/// ciphertext chunk to `emit` in order. One chunk-sized buffer is the
-/// only transient state — neither the padded plaintext nor the ciphertext
-/// is materialized. Returns the digest table and the padded length.
-///
-/// This is the single protection core: the in-memory and file-backed
-/// paths both drive [`ChunkProtector`] through it (and the one-pass
-/// encode path drives the protector directly), so their outputs are
-/// byte-identical by construction (and re-checked by the differential
-/// tests).
-pub fn protect_chunks<E>(
-    plaintext: &[u8],
-    key: &TripleDes,
-    scheme: IntegrityScheme,
-    layout: ChunkLayout,
-    emit: impl FnMut(&[u8]) -> Result<(), E>,
-) -> Result<(Vec<[u8; DIGEST_RECORD]>, usize), E> {
-    let mut p = ChunkProtector::new(key, scheme, layout, emit);
-    p.push(plaintext)?;
-    let (digests, plain_len) = p.finish()?;
-    Ok((digests, plain_len.div_ceil(BLOCK) * BLOCK))
-}
-
 impl ProtectedDoc {
     /// Encrypts and authenticates `plaintext` under `key` into an
-    /// in-memory store.
+    /// in-memory store, through the same [`ChunkProtector`] the one-pass
+    /// file path (`ServerDoc::prepare_to_store`) drives — so both produce
+    /// byte-identical ciphertext and digests by construction.
     pub fn protect(
         plaintext: &[u8],
         key: &TripleDes,
@@ -265,11 +245,13 @@ impl ProtectedDoc {
         layout: ChunkLayout,
     ) -> ProtectedDoc {
         let mut ciphertext = Vec::with_capacity(plaintext.len().div_ceil(BLOCK) * BLOCK);
-        let (digests, _) =
-            protect_chunks::<std::convert::Infallible>(plaintext, key, scheme, layout, |chunk| {
-                ciphertext.extend_from_slice(chunk);
-                Ok(())
-            })
+        let mut protector = ChunkProtector::new(key, scheme, layout, |chunk: &[u8]| {
+            ciphertext.extend_from_slice(chunk);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        let (digests, _) = protector
+            .push(plaintext)
+            .and_then(|()| protector.finish())
             .expect("in-memory emit is infallible");
         ProtectedDoc {
             scheme,
@@ -309,30 +291,6 @@ impl ProtectedDoc {
             digests: self.digests.clone(),
             plain_len: self.plain_len,
         })
-    }
-}
-
-impl ProtectedDoc<FileStore> {
-    /// Encrypts and authenticates `plaintext` straight to `path`,
-    /// chunk-at-a-time — the ciphertext is never materialized in memory
-    /// — then opens it behind a [`FileStore`] with the given resident
-    /// window.
-    pub fn protect_to_file(
-        plaintext: &[u8],
-        key: &TripleDes,
-        scheme: IntegrityScheme,
-        layout: ChunkLayout,
-        path: &Path,
-        window_bytes: usize,
-    ) -> io::Result<ProtectedDoc<FileStore>> {
-        let file = std::fs::File::create(path)?;
-        let mut w = BufWriter::new(file);
-        let (digests, _) =
-            protect_chunks(plaintext, key, scheme, layout, |chunk| w.write_all(chunk))?;
-        w.flush()?;
-        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        let store = FileStore::open(path, layout.chunk_size, window_bytes)?;
-        Ok(ProtectedDoc { scheme, layout, store, digests, plain_len: plaintext.len() })
     }
 }
 
@@ -441,27 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_protect_matches_in_memory() {
-        // The file-backed path shares the chunk-at-a-time core, and the
-        // bytes on disk prove it: identical ciphertext, identical digest
-        // table, for every scheme and an awkward (padded) length.
-        let k = key();
-        let d = data(4999);
-        let layout = ChunkLayout { chunk_size: 512, fragment_size: 64 };
-        for scheme in IntegrityScheme::ALL {
-            let mem = ProtectedDoc::protect(&d, &k, scheme, layout);
-            let tmp = TempPath::new("protect-stream");
-            let file =
-                ProtectedDoc::protect_to_file(&d, &k, scheme, layout, tmp.path(), 2048).unwrap();
-            assert_eq!(std::fs::read(tmp.path()).unwrap(), mem.ciphertext(), "{scheme:?}");
-            assert_eq!(file.digests, mem.digests, "{scheme:?}");
-            assert_eq!(file.plain_len, mem.plain_len);
-            assert_eq!(file.chunk_count(), mem.chunk_count());
-            assert_eq!(file.stored_len(), mem.stored_len());
-        }
-    }
-
-    #[test]
     fn protector_output_independent_of_push_granularity() {
         // The push-style pipeline must produce the same ciphertext and
         // digest table whether the plaintext arrives whole, byte by byte,
@@ -471,22 +408,14 @@ mod tests {
         let d = data(4999);
         let layout = ChunkLayout { chunk_size: 512, fragment_size: 64 };
         for scheme in IntegrityScheme::ALL {
-            let mut whole = Vec::new();
-            let (digests, padded) =
-                protect_chunks::<std::convert::Infallible>(&d, &k, scheme, layout, |c| {
-                    whole.extend_from_slice(c);
-                    Ok(())
-                })
-                .unwrap();
-            assert_eq!(whole.len(), padded);
-            for step in [1usize, 7, 131, 512, 4999] {
-                let mut pieced = Vec::new();
+            let protect = |step: usize| {
+                let mut out = Vec::new();
                 let mut p = ChunkProtector::<std::convert::Infallible, _>::new(
                     &k,
                     scheme,
                     layout,
                     |c: &[u8]| {
-                        pieced.extend_from_slice(c);
+                        out.extend_from_slice(c);
                         Ok(())
                     },
                 );
@@ -494,10 +423,15 @@ mod tests {
                     p.push(s).unwrap();
                 }
                 assert!(p.peak_buffered() <= layout.chunk_size, "{scheme:?}");
-                let (dg, plain_len) = p.finish().unwrap();
-                assert_eq!(pieced, whole, "{scheme:?} step {step}");
-                assert_eq!(dg, digests, "{scheme:?} step {step}");
+                let (digests, plain_len) = p.finish().unwrap();
                 assert_eq!(plain_len, d.len());
+                (out, digests)
+            };
+            // The reference: the whole plaintext in a single push.
+            let whole = protect(d.len());
+            assert_eq!(whole.0.len(), d.len().div_ceil(BLOCK) * BLOCK);
+            for step in [1usize, 7, 131, 512] {
+                assert_eq!(protect(step), whole, "{scheme:?} step {step}");
             }
         }
     }

@@ -760,8 +760,8 @@ impl FileStore {
     /// Writes `bytes` to `path` and opens it as a store — the
     /// convenience path for converting an in-memory document (tests,
     /// differential harnesses). Production preparation should stream
-    /// through [`ProtectedDoc::protect_to_file`](crate::ProtectedDoc::protect_to_file)
-    /// instead, which never materializes the ciphertext.
+    /// through `ServerDoc::prepare_to_store` (in `xsac-soe`) instead,
+    /// which never materializes the ciphertext.
     pub fn create(
         path: &Path,
         bytes: &[u8],

@@ -2,8 +2,8 @@
 //!
 //! Node records are byte-aligned (the paper: "In all these methods, the
 //! metadata need be aligned on a byte frontier"), so writers expose an
-//! explicit [`BitWriter::align`] and readers track their byte position for
-//! subtree skips.
+//! explicit [`BitWriter::align`] and readers start at an explicit byte
+//! offset ([`BitReader::at`]).
 
 /// Number of bits needed to express values in `0..=max` (at least 1).
 pub fn width_for(max: u64) -> u32 {
@@ -129,15 +129,14 @@ const SINK_FLUSH: usize = 1024;
 
 /// MSB-first bit writer that streams completed bytes to a consumer
 /// instead of accumulating the whole output — the encoder half of the
-/// one-pass protect path. Only the trailing partial byte (plus at most
-/// `SINK_FLUSH` completed ones) is ever resident.
+/// one-pass protect path. Bits are packed by an inner [`BitWriter`], of
+/// which only the trailing partial byte (plus at most `SINK_FLUSH`
+/// completed ones) is ever resident.
 pub struct BitSink<F, E>
 where
     F: FnMut(&[u8]) -> Result<(), E>,
 {
-    bytes: Vec<u8>,
-    /// Bits already used in the last byte (0 = aligned).
-    used: u32,
+    buf: BitWriter,
     emit: F,
     /// Total bytes handed downstream.
     emitted: usize,
@@ -151,27 +150,28 @@ where
 {
     /// Fresh sink over a consumer callback.
     pub fn new(emit: F) -> Self {
-        BitSink { bytes: Vec::new(), used: 0, emit, emitted: 0, peak: 0 }
+        BitSink { buf: BitWriter::new(), emit, emitted: 0, peak: 0 }
     }
 
     /// Hands every *completed* byte downstream (the partial last byte, if
     /// any, stays: later bit writes still mutate it).
     fn drain(&mut self) -> Result<(), E> {
-        self.peak = self.peak.max(self.bytes.len());
-        let keep = usize::from(self.used > 0);
-        let complete = self.bytes.len() - keep;
+        self.peak = self.peak.max(self.buf.len());
+        let keep = usize::from(self.buf.used > 0);
+        let bytes = &mut self.buf.bytes;
+        let complete = bytes.len() - keep;
         if complete > 0 {
-            (self.emit)(&self.bytes[..complete])?;
+            (self.emit)(&bytes[..complete])?;
             self.emitted += complete;
-            self.bytes.copy_within(complete.., 0);
-            self.bytes.truncate(keep);
+            bytes.copy_within(complete.., 0);
+            bytes.truncate(keep);
         }
         Ok(())
     }
 
     fn maybe_drain(&mut self) -> Result<(), E> {
-        self.peak = self.peak.max(self.bytes.len());
-        if self.bytes.len() >= SINK_FLUSH {
+        self.peak = self.peak.max(self.buf.len());
+        if self.buf.len() >= SINK_FLUSH {
             self.drain()?;
         }
         Ok(())
@@ -180,7 +180,7 @@ where
     /// Finishes: flushes everything (including a final partial byte,
     /// zero-padded by construction) and returns `(total_bytes, peak_buffered)`.
     pub fn finish(mut self) -> Result<(usize, usize), E> {
-        self.used = 0;
+        self.buf.align();
         self.drain()?;
         Ok((self.emitted, self.peak))
     }
@@ -193,41 +193,28 @@ where
     type Error = E;
 
     fn write(&mut self, value: u64, width: u32) -> Result<(), E> {
-        debug_assert!(width <= 64);
-        debug_assert!(
-            width == 64 || value < (1u64 << width),
-            "value {value} overflows {width} bits"
-        );
-        for i in (0..width).rev() {
-            let bit = (value >> i) & 1;
-            if self.used == 0 {
-                self.bytes.push(0);
-            }
-            let last = self.bytes.last_mut().expect("pushed");
-            *last |= (bit as u8) << (7 - self.used);
-            self.used = (self.used + 1) % 8;
-        }
+        self.buf.write(value, width);
         self.maybe_drain()
     }
 
     fn align(&mut self) -> Result<(), E> {
-        self.used = 0;
+        self.buf.align();
         Ok(())
     }
 
     fn write_bytes(&mut self, data: &[u8]) -> Result<(), E> {
-        assert_eq!(self.used, 0, "write_bytes requires byte alignment");
+        if data.len() < SINK_FLUSH {
+            self.buf.write_bytes(data);
+            return self.maybe_drain();
+        }
         // Large aligned payloads (text bodies) bypass the buffer: drain
         // what is pending, then forward the slice directly.
-        if data.len() >= SINK_FLUSH {
-            self.drain()?;
-            debug_assert!(self.bytes.is_empty());
-            (self.emit)(data)?;
-            self.emitted += data.len();
-            return Ok(());
-        }
-        self.bytes.extend_from_slice(data);
-        self.maybe_drain()
+        assert_eq!(self.buf.used, 0, "write_bytes requires byte alignment");
+        self.drain()?;
+        debug_assert!(self.buf.is_empty());
+        (self.emit)(data)?;
+        self.emitted += data.len();
+        Ok(())
     }
 }
 
@@ -263,38 +250,6 @@ impl<'a> BitReader<'a> {
     pub fn read_bit(&mut self) -> Option<bool> {
         self.read(1).map(|b| b != 0)
     }
-
-    /// Skips to the next byte boundary.
-    pub fn align(&mut self) {
-        self.pos = self.pos.div_ceil(8) * 8;
-    }
-
-    /// Current byte position (aligned reads only).
-    pub fn byte_pos(&self) -> usize {
-        debug_assert_eq!(self.pos % 8, 0, "byte_pos on unaligned reader");
-        self.pos / 8
-    }
-
-    /// Jumps to an absolute byte position.
-    pub fn seek(&mut self, byte: usize) {
-        self.pos = byte * 8;
-    }
-
-    /// Reads `n` raw bytes (aligned).
-    pub fn read_bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        debug_assert_eq!(self.pos % 8, 0);
-        let start = self.pos / 8;
-        if start + n > self.data.len() {
-            return None;
-        }
-        self.pos += n * 8;
-        Some(&self.data[start..start + n])
-    }
-
-    /// True when all bytes are consumed.
-    pub fn at_end(&self) -> bool {
-        self.pos >= self.data.len() * 8
-    }
 }
 
 #[cfg(test)]
@@ -325,7 +280,7 @@ mod tests {
         assert_eq!(r.read(3), Some(5));
         assert_eq!(r.read(1), Some(1));
         assert_eq!(r.read(10), Some(1000));
-        r.align();
+        assert_eq!(r.read(2), Some(0), "alignment pads with zero bits");
         assert_eq!(r.read(32), Some(0xDEADBEEF));
     }
 
@@ -339,10 +294,9 @@ mod tests {
         assert_eq!(buf.len(), 3);
         let mut r = BitReader::at(&buf, 0);
         assert_eq!(r.read_bit(), Some(true));
-        r.align();
-        assert_eq!(r.byte_pos(), 1);
-        assert_eq!(r.read_bytes(2), Some(&b"xy"[..]));
-        assert!(r.at_end());
+        let mut r = BitReader::at(&buf, 1);
+        assert_eq!(r.read(16), Some(u64::from(u16::from_be_bytes(*b"xy"))));
+        assert_eq!(r.read(1), None);
     }
 
     #[test]
@@ -351,15 +305,6 @@ mod tests {
         let mut r = BitReader::at(&buf, 0);
         assert_eq!(r.read(8), Some(0xFF));
         assert_eq!(r.read(1), None);
-        assert_eq!(r.read_bytes(1), None);
-    }
-
-    #[test]
-    fn seek_repositions() {
-        let buf = [1u8, 2, 3];
-        let mut r = BitReader::at(&buf, 0);
-        r.seek(2);
-        assert_eq!(r.read(8), Some(3));
     }
 
     #[test]

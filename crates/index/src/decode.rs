@@ -262,11 +262,6 @@ impl<R: ByteSource> CursorDecoder<R> {
         &self.src
     }
 
-    /// Mutable access to the underlying source.
-    pub fn source_mut(&mut self) -> &mut R {
-        &mut self.src
-    }
-
     /// Consumes the cursor, returning the source.
     pub fn into_source(self) -> R {
         self.src
@@ -277,13 +272,6 @@ impl<R: ByteSource> CursorDecoder<R> {
     /// for leaves. Valid until the next `next` call.
     pub fn last_desc(&self) -> &TagSet {
         &self.last_desc
-    }
-
-    /// Tag-list context for decoding the children of the element most
-    /// recently opened by [`CursorDecoder::next`] (shared with the
-    /// decoder's own stack — an `Arc` bump, no copy).
-    pub fn current_tags(&self) -> Arc<[TagId]> {
-        self.stack.last().unwrap_or(&self.root).tags.clone()
     }
 
     /// Current absolute byte position.

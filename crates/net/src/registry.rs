@@ -21,7 +21,7 @@
 //! document keeps serving it even if the registry closes the tenant
 //! mid-session (the close only purges pooled chunks — invisible to the
 //! session beyond refetches), and a later `Hello` for the same id
-//! simply reopens it. Per-document counters ([`DocMetrics`]) survive
+//! simply reopens it. Per-document counters survive
 //! close/reopen cycles and roll up — together with the pool's residency
 //! figures — into the [`RegistrySnapshot`] half of the server's
 //! [`ServiceSnapshot`](crate::server::ServiceSnapshot).
@@ -45,117 +45,27 @@ use xsac_soe::{DocMeta, MinimizeStats, ServerDoc};
 
 /// Per-document serving counters, shared across every connection bound
 /// to the document and surviving close/reopen cycles — the per-tenant
-/// slice of [`NetMetrics`](crate::NetMetrics).
+/// slice of the service's transport counters. Read only through
+/// [`DocRegistry::snapshot`], whose [`DocRow`] documents each counter.
 #[derive(Debug, Default)]
-pub struct DocMetrics {
+pub(crate) struct DocMetrics {
     pub(crate) requests: AtomicU64,
     pub(crate) chunks_served: AtomicU64,
     pub(crate) bytes_served: AtomicU64,
     pub(crate) fault_frames: AtomicU64,
-    opens: AtomicU64,
-    closes: AtomicU64,
-    policy_compiles: AtomicU64,
-    policy_cache_hits: AtomicU64,
-    rules_minimized: AtomicU64,
+    pub(crate) opens: AtomicU64,
+    pub(crate) closes: AtomicU64,
+    pub(crate) policy_compiles: AtomicU64,
+    pub(crate) policy_cache_hits: AtomicU64,
+    pub(crate) rules_minimized: AtomicU64,
     /// Σ phase nanoseconds reported by client sessions over this
     /// document (the `Report` frame) — zero until a client reports.
-    phases: SharedPhaseProfile,
+    /// Decrypt/verify/evaluate happen inside the client's SOE; the
+    /// server never observes them directly.
+    pub(crate) phases: SharedPhaseProfile,
     /// Wall time of each request answered while bound to this document,
     /// log-bucketed nanoseconds.
-    request_latency: AtomicHistogram,
-}
-
-impl DocMetrics {
-    /// Requests served for this document (Hello + Meta + Chunks).
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Ciphertext chunks shipped for this document.
-    pub fn chunks_served(&self) -> u64 {
-        self.chunks_served.load(Ordering::Relaxed)
-    }
-
-    /// Ciphertext payload bytes shipped for this document.
-    pub fn bytes_served(&self) -> u64 {
-        self.bytes_served.load(Ordering::Relaxed)
-    }
-
-    /// Typed fault frames answered on connections bound to this
-    /// document.
-    pub fn fault_frames(&self) -> u64 {
-        self.fault_frames.load(Ordering::Relaxed)
-    }
-
-    /// Times this (lazy) document was opened. Resident documents count
-    /// one open at registration.
-    pub fn opens(&self) -> u64 {
-        self.opens.load(Ordering::Relaxed)
-    }
-
-    /// Times this (lazy) document was closed — by LRU pressure or an
-    /// explicit [`DocRegistry::close`].
-    pub fn closes(&self) -> u64 {
-        self.closes.load(Ordering::Relaxed)
-    }
-
-    /// Fresh policy compilations reported for sessions over this
-    /// document.
-    pub fn policy_compiles(&self) -> u64 {
-        self.policy_compiles.load(Ordering::Relaxed)
-    }
-
-    /// Compiled-policy cache hits reported for sessions over this
-    /// document.
-    pub fn policy_cache_hits(&self) -> u64 {
-        self.policy_cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Σ rules dropped by containment minimization across all reported
-    /// compilations.
-    pub fn rules_minimized(&self) -> u64 {
-        self.rules_minimized.load(Ordering::Relaxed)
-    }
-
-    /// Records one client-side policy-compiler event. Access control is
-    /// evaluated inside the client's SOE, so the server only ever sees
-    /// these figures when the client (or a co-located [`xsac_soe::DocServer`])
-    /// reports them — the hook the dissemination service uses to fold
-    /// compiler behaviour into its [`RegistrySnapshot`].
-    pub fn record_policy_compile(&self, stats: &MinimizeStats, cache_hit: bool) {
-        if cache_hit {
-            self.policy_cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.policy_compiles.fetch_add(1, Ordering::Relaxed);
-            self.rules_minimized.fetch_add(stats.rules_dropped() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Folds a client session's phase profile into this document's
-    /// totals — the `Report`-frame hook, same reporting model as
-    /// [`record_policy_compile`](DocMetrics::record_policy_compile)
-    /// (decrypt/verify/evaluate happen inside the client's SOE; the
-    /// server never observes them directly).
-    pub fn merge_phases(&self, profile: &PhaseProfile) {
-        self.phases.merge(profile);
-    }
-
-    /// Σ phase nanoseconds reported for sessions over this document.
-    pub fn phase_profile(&self) -> PhaseProfile {
-        self.phases.snapshot()
-    }
-
-    /// Records the wall time of one request answered while bound to
-    /// this document.
-    pub fn record_request_latency(&self, nanos: u64) {
-        self.request_latency.record(nanos);
-    }
-
-    /// Log-bucketed wall time (nanoseconds) of requests answered while
-    /// bound to this document.
-    pub fn request_latency(&self) -> Histogram {
-        self.request_latency.snapshot()
-    }
+    pub(crate) request_latency: AtomicHistogram,
 }
 
 /// One open document as the server serves it: the reassembled
@@ -172,11 +82,6 @@ impl ServedDoc {
     /// The served document.
     pub fn doc(&self) -> &ServerDoc<DynChunkStore> {
         &self.doc
-    }
-
-    /// This document's serving counters.
-    pub fn metrics(&self) -> &DocMetrics {
-        &self.metrics
     }
 }
 
@@ -241,7 +146,7 @@ pub struct DocRow {
     pub open: bool,
     /// Whether the document is a lazy file-backed tenant.
     pub lazy: bool,
-    /// Requests served.
+    /// Requests served (Hello + Meta + Chunks).
     pub requests: u64,
     /// Chunks shipped.
     pub chunks_served: u64,
@@ -249,9 +154,9 @@ pub struct DocRow {
     pub bytes_served: u64,
     /// Typed fault frames answered while bound to this document.
     pub fault_frames: u64,
-    /// Open events.
+    /// Open events (a resident document counts one, at registration).
     pub opens: u64,
-    /// Close events.
+    /// Close events: LRU pressure or an explicit [`DocRegistry::close`].
     pub closes: u64,
     /// Policy compilations reported for sessions over this document.
     pub policy_compiles: u64,
@@ -323,9 +228,9 @@ pub struct DocRegistry {
     inner: Mutex<HashMap<String, Entry>>,
     max_open_docs: usize,
     clock: AtomicU64,
-    unknown_docs: AtomicU64,
-    opens: AtomicU64,
-    closes: AtomicU64,
+    pub(crate) unknown_docs: AtomicU64,
+    pub(crate) opens: AtomicU64,
+    pub(crate) closes: AtomicU64,
 }
 
 impl DocRegistry {
@@ -566,23 +471,12 @@ impl DocRegistry {
         self.inner.lock().expect("doc registry").contains_key(doc_id)
     }
 
-    /// The registered ids, sorted.
-    pub fn doc_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> =
-            self.inner.lock().expect("doc registry").keys().cloned().collect();
-        ids.sort();
-        ids
-    }
-
-    /// `Hello` frames that named an unregistered id (each answered with
-    /// a typed unknown-doc fault).
-    pub fn unknown_doc_rejections(&self) -> u64 {
-        self.unknown_docs.load(Ordering::Relaxed)
-    }
-
-    /// Records one client-side policy-compiler event against `doc_id`
-    /// (see [`DocMetrics::record_policy_compile`]). Returns `false` when
-    /// the id is not registered.
+    /// Records one client-side policy-compiler event against `doc_id`: a
+    /// fresh compilation (with the rules it dropped) or a cache hit.
+    /// Access control is evaluated inside the client's SOE, so the server
+    /// only sees these figures when the client (or a co-located
+    /// [`xsac_soe::DocServer`]) reports them. Returns `false` when the id
+    /// is not registered.
     pub fn record_policy_compile(
         &self,
         doc_id: &str,
@@ -596,13 +490,19 @@ impl DocRegistry {
                 None => return false,
             }
         };
-        metrics.record_policy_compile(stats, cache_hit);
+        if cache_hit {
+            metrics.policy_cache_hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            metrics.policy_compiles.fetch_add(1, Ordering::Relaxed);
+            metrics.rules_minimized.fetch_add(stats.rules_dropped() as u64, Ordering::Relaxed);
+        }
         true
     }
 
     /// A consistent snapshot of every tenant's counters plus the shared
     /// pool's residency figures.
     pub fn snapshot(&self) -> RegistrySnapshot {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let inner = self.inner.lock().expect("doc registry");
         let mut docs: Vec<DocRow> = inner
             .iter()
@@ -611,30 +511,31 @@ impl DocRegistry {
                     Backing::Resident(_) => (true, false),
                     Backing::File { open, .. } => (open.is_some(), true),
                 };
+                let m = &entry.metrics;
                 DocRow {
                     doc_id: id.clone(),
                     open,
                     lazy,
-                    requests: entry.metrics.requests(),
-                    chunks_served: entry.metrics.chunks_served(),
-                    bytes_served: entry.metrics.bytes_served(),
-                    fault_frames: entry.metrics.fault_frames(),
-                    opens: entry.metrics.opens(),
-                    closes: entry.metrics.closes(),
-                    policy_compiles: entry.metrics.policy_compiles(),
-                    policy_cache_hits: entry.metrics.policy_cache_hits(),
-                    rules_minimized: entry.metrics.rules_minimized(),
-                    phases: entry.metrics.phase_profile(),
-                    request_latency: entry.metrics.request_latency(),
+                    requests: load(&m.requests),
+                    chunks_served: load(&m.chunks_served),
+                    bytes_served: load(&m.bytes_served),
+                    fault_frames: load(&m.fault_frames),
+                    opens: load(&m.opens),
+                    closes: load(&m.closes),
+                    policy_compiles: load(&m.policy_compiles),
+                    policy_cache_hits: load(&m.policy_cache_hits),
+                    rules_minimized: load(&m.rules_minimized),
+                    phases: m.phases.snapshot(),
+                    request_latency: m.request_latency.snapshot(),
                 }
             })
             .collect();
         docs.sort_by(|a, b| a.doc_id.cmp(&b.doc_id));
         RegistrySnapshot {
             docs,
-            doc_opens: self.opens.load(Ordering::Relaxed),
-            doc_closes: self.closes.load(Ordering::Relaxed),
-            unknown_doc_rejections: self.unknown_docs.load(Ordering::Relaxed),
+            doc_opens: load(&self.opens),
+            doc_closes: load(&self.closes),
+            unknown_doc_rejections: load(&self.unknown_docs),
             budget_bytes: self.pool.budget_bytes() as u64,
             resident_bytes_now: self.pool.meter().resident_bytes_now(),
             resident_bytes_peak: self.pool.meter().resident_bytes_peak(),

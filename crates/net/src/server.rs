@@ -22,7 +22,7 @@
 //!
 //! Concurrency matches the PR-3 idiom: a threaded accept loop over
 //! `std::thread::scope`, one scoped thread per connection, no shared
-//! mutable state beyond the registry/pool locks and the [`NetMetrics`]
+//! mutable state beyond the registry/pool locks and the serving
 //! counters.
 //!
 //! # Resilience and admission
@@ -37,9 +37,9 @@
 //! admitting: excess peers are answered with one typed
 //! [`Fault::Busy`] frame and dropped without a handler thread — the
 //! transient fault the client retry loop backs off on. All eviction
-//! and rejection kinds are counted in [`NetMetrics`]; a well-behaved
-//! client just reconnects — the `RemoteStore` retry loop makes any of
-//! them invisible to the session above it.
+//! and rejection kinds are counted in the [`ServiceSnapshot`]; a
+//! well-behaved client just reconnects — the `RemoteStore` retry loop
+//! makes any of them invisible to the session above it.
 
 use crate::registry::{DocRegistry, OpenError, RegistrySnapshot, ServedDoc};
 use crate::wire::{
@@ -95,7 +95,7 @@ pub struct ServerConfig {
     /// Most request frames one connection may send over its lifetime —
     /// the whole-conversation generalization of
     /// [`WireLimits::max_frame`]. Exceeding it closes the connection
-    /// (counted in [`NetMetrics::budget_evictions`]); a legitimate
+    /// (counted in [`ServiceSnapshot::budget_evictions`]); a legitimate
     /// long-lived client simply reconnects.
     pub max_frames_per_conn: u64,
     /// Most connections served concurrently — the accept-side
@@ -128,68 +128,19 @@ impl Default for ServerConfig {
 }
 
 /// Serving counters, shared between the accept loop, every connection
-/// thread, and the [`ServerHandle`] — the network-side analogue of
-/// [`ResidencyMeter`](xsac_crypto::ResidencyMeter). Per-document
-/// breakdowns live in the registry's
-/// [`DocMetrics`](crate::registry::DocMetrics).
+/// thread, and the [`ServerHandle`]. Read only through
+/// [`ServiceSnapshot`], whose fields document each counter; per-document
+/// breakdowns live in the registry's rows.
 #[derive(Debug, Default)]
-pub struct NetMetrics {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    chunks_served: AtomicU64,
-    bytes_served: AtomicU64,
-    fault_frames: AtomicU64,
-    slow_peer_evictions: AtomicU64,
-    budget_evictions: AtomicU64,
-    admission_rejections: AtomicU64,
-}
-
-impl NetMetrics {
-    /// Connections accepted (admitted) so far.
-    pub fn connections(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
-    }
-
-    /// Requests served (all kinds), across all connections.
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Ciphertext chunks shipped.
-    pub fn chunks_served(&self) -> u64 {
-        self.chunks_served.load(Ordering::Relaxed)
-    }
-
-    /// Ciphertext payload bytes shipped (chunk bodies only, not framing
-    /// or meta).
-    pub fn bytes_served(&self) -> u64 {
-        self.bytes_served.load(Ordering::Relaxed)
-    }
-
-    /// Typed fault frames sent.
-    pub fn fault_frames(&self) -> u64 {
-        self.fault_frames.load(Ordering::Relaxed)
-    }
-
-    /// Connections evicted because a socket deadline fired — a peer that
-    /// stalled mid-frame, went idle past the read deadline, or stopped
-    /// draining responses.
-    pub fn slow_peer_evictions(&self) -> u64 {
-        self.slow_peer_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Connections closed for exhausting their
-    /// [frame budget](ServerConfig::max_frames_per_conn).
-    pub fn budget_evictions(&self) -> u64 {
-        self.budget_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Connections turned away at the
-    /// [admission cap](ServerConfig::max_conns) with a `Busy` frame
-    /// (not counted in [`connections`](NetMetrics::connections)).
-    pub fn admission_rejections(&self) -> u64 {
-        self.admission_rejections.load(Ordering::Relaxed)
-    }
+pub(crate) struct NetMetrics {
+    pub(crate) connections: AtomicU64,
+    pub(crate) requests: AtomicU64,
+    pub(crate) chunks_served: AtomicU64,
+    pub(crate) bytes_served: AtomicU64,
+    pub(crate) fault_frames: AtomicU64,
+    pub(crate) slow_peer_evictions: AtomicU64,
+    pub(crate) budget_evictions: AtomicU64,
+    pub(crate) admission_rejections: AtomicU64,
 }
 
 /// Service-level roll-up: the server's connection/transport counters
@@ -203,19 +154,25 @@ pub struct ServiceSnapshot {
     pub registry: RegistrySnapshot,
     /// Connections admitted.
     pub connections: u64,
-    /// Requests served across all tenants.
+    /// Requests served (all kinds) across all tenants.
     pub requests: u64,
     /// Chunks shipped across all tenants.
     pub chunks_served: u64,
-    /// Ciphertext payload bytes shipped across all tenants.
+    /// Ciphertext payload bytes shipped across all tenants (chunk bodies
+    /// only, not framing or meta).
     pub bytes_served: u64,
     /// Typed fault frames sent.
     pub fault_frames: u64,
-    /// Slow-peer (deadline) evictions.
+    /// Connections evicted because a socket deadline fired — a peer that
+    /// stalled mid-frame, went idle past the read deadline, or stopped
+    /// draining responses.
     pub slow_peer_evictions: u64,
-    /// Frame-budget evictions.
+    /// Connections closed for exhausting their
+    /// [frame budget](ServerConfig::max_frames_per_conn).
     pub budget_evictions: u64,
-    /// Connections rejected at the admission cap.
+    /// Connections turned away at the
+    /// [admission cap](ServerConfig::max_conns) with a `Busy` frame (not
+    /// counted in `connections`).
     pub admission_rejections: u64,
 }
 
@@ -224,7 +181,7 @@ pub struct ServiceSnapshot {
 pub struct ChunkServer {
     registry: Arc<DocRegistry>,
     config: ServerConfig,
-    metrics: Arc<NetMetrics>,
+    pub(crate) metrics: Arc<NetMetrics>,
     /// Connections currently being served — the admission gauge
     /// compared against [`ServerConfig::max_conns`].
     live: AtomicU64,
@@ -262,13 +219,6 @@ impl ChunkServer {
         }
     }
 
-    /// Overrides the protocol limits (deadlines, budget and admission
-    /// cap keep their [`ServerConfig`] defaults).
-    pub fn with_limits(mut self, limits: WireLimits) -> ChunkServer {
-        self.config.limits = limits;
-        self
-    }
-
     /// Overrides the whole per-connection policy: limits, deadlines,
     /// frame budget, admission cap.
     pub fn with_config(mut self, config: ServerConfig) -> ChunkServer {
@@ -279,11 +229,6 @@ impl ChunkServer {
     /// The document registry being served.
     pub fn registry(&self) -> &Arc<DocRegistry> {
         &self.registry
-    }
-
-    /// The serving counters (shared with any [`ServerHandle`]).
-    pub fn metrics(&self) -> Arc<NetMetrics> {
-        Arc::clone(&self.metrics)
     }
 
     /// The service-level roll-up: transport counters + registry rows +
@@ -427,7 +372,7 @@ impl ChunkServer {
                 return;
             }
             if let Some(doc) = &bound {
-                doc.metrics.record_request_latency(t.elapsed_nanos());
+                doc.metrics.request_latency.record(t.elapsed_nanos());
             }
         }
     }
@@ -490,7 +435,7 @@ impl ChunkServer {
             }
             Request::Report { phases } => {
                 let doc = bound.as_ref().expect("bound checked above");
-                doc.metrics.merge_phases(&phases);
+                doc.metrics.phases.merge(&phases);
                 Response::Report
             }
         }
@@ -578,17 +523,17 @@ fn reject_busy(mut stream: TcpStream, config: ServerConfig, live: u64, max: u64)
 }
 
 fn service_snapshot(registry: &DocRegistry, metrics: &NetMetrics) -> ServiceSnapshot {
-    let registry = registry.snapshot();
+    let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
     ServiceSnapshot {
-        registry,
-        connections: metrics.connections(),
-        requests: metrics.requests(),
-        chunks_served: metrics.chunks_served(),
-        bytes_served: metrics.bytes_served(),
-        fault_frames: metrics.fault_frames(),
-        slow_peer_evictions: metrics.slow_peer_evictions(),
-        budget_evictions: metrics.budget_evictions(),
-        admission_rejections: metrics.admission_rejections(),
+        registry: registry.snapshot(),
+        connections: load(&metrics.connections),
+        requests: load(&metrics.requests),
+        chunks_served: load(&metrics.chunks_served),
+        bytes_served: load(&metrics.bytes_served),
+        fault_frames: load(&metrics.fault_frames),
+        slow_peer_evictions: load(&metrics.slow_peer_evictions),
+        budget_evictions: load(&metrics.budget_evictions),
+        admission_rejections: load(&metrics.admission_rejections),
     }
 }
 
@@ -605,13 +550,13 @@ fn out_of_order() -> Response {
 impl ChunkServer {
     /// Binds `addr` (use port 0 for an ephemeral loopback port) and
     /// serves on a background thread; the returned handle exposes the
-    /// bound address, live metrics, the registry, and deterministic
-    /// shutdown.
+    /// bound address, the service snapshot, the registry, and
+    /// deterministic shutdown.
     pub fn spawn(self, addr: impl ToSocketAddrs) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let metrics = self.metrics();
+        let metrics = Arc::clone(&self.metrics);
         let registry = Arc::clone(&self.registry);
         let join = std::thread::spawn({
             let stop = Arc::clone(&stop);
@@ -634,11 +579,6 @@ impl ServerHandle {
     /// The bound socket address (connect clients here).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Live serving counters.
-    pub fn metrics(&self) -> &NetMetrics {
-        &self.metrics
     }
 
     /// The registry being served (register, close or inspect tenants

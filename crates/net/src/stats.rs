@@ -546,6 +546,97 @@ mod tests {
         assert_eq!(decode_snapshot(&encode_snapshot(&snap)).unwrap(), snap);
     }
 
+    /// The snapshot builders read live atomics, not hand-built rows: with
+    /// every live counter set to a distinct value, each must come back in
+    /// the field its table row reads — a builder copying the wrong atomic
+    /// into a field fails here.
+    #[test]
+    fn service_snapshot_reads_each_live_counter() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        use xsac_crypto::{ChunkLayout, IntegrityScheme, TripleDes};
+
+        fn set(atoms: &[(&AtomicU64, &'static str)], base: u64) -> Vec<(&'static str, u64)> {
+            let mut value = base;
+            atoms
+                .iter()
+                .map(|&(atom, key)| {
+                    value += 1;
+                    atom.store(value, Ordering::Relaxed);
+                    (key, value)
+                })
+                .collect()
+        }
+        fn check<R>(table: &[Counter<R>], row: &R, expect: &[(&str, u64)]) {
+            for &(key, value) in expect {
+                let c = table.iter().find(|c| c.key == key).expect("counter has a table row");
+                assert_eq!((c.get)(row), value, "{key}");
+            }
+        }
+
+        let key = TripleDes::new(*b"0123456789abcdefFEDCBA98");
+        let xml = xsac_xml::Document::parse("<a><b>x</b></a>").unwrap();
+        let doc =
+            xsac_soe::ServerDoc::prepare(&xml, &key, IntegrityScheme::Ecb, ChunkLayout::default());
+        let registry = Arc::new(crate::DocRegistry::new(4096));
+        registry.insert("doc", doc);
+        let served = registry.open("doc").unwrap();
+        let server = crate::ChunkServer::with_registry(Arc::clone(&registry));
+
+        let m = &served.metrics;
+        let doc_expect = set(
+            &[
+                (&m.requests, "requests"),
+                (&m.chunks_served, "chunks_served"),
+                (&m.bytes_served, "bytes_served"),
+                (&m.fault_frames, "fault_frames"),
+                (&m.opens, "opens"),
+                (&m.closes, "closes"),
+                (&m.policy_compiles, "policy_compiles"),
+                (&m.policy_cache_hits, "policy_cache_hits"),
+                (&m.rules_minimized, "rules_minimized"),
+            ],
+            100,
+        );
+        let phases = PhaseProfile::from_nanos([11, 12, 13, 14, 15, 16, 17]);
+        m.phases.merge(&phases);
+        m.request_latency.record(4_321);
+        let registry_expect = set(
+            &[
+                (&registry.opens, "doc_opens"),
+                (&registry.closes, "doc_closes"),
+                (&registry.unknown_docs, "unknown_doc_rejections"),
+            ],
+            200,
+        );
+        let n = &server.metrics;
+        let service_expect = set(
+            &[
+                (&n.connections, "connections"),
+                (&n.requests, "requests"),
+                (&n.chunks_served, "chunks_served"),
+                (&n.bytes_served, "bytes_served"),
+                (&n.fault_frames, "fault_frames"),
+                (&n.slow_peer_evictions, "slow_peer_evictions"),
+                (&n.budget_evictions, "budget_evictions"),
+                (&n.admission_rejections, "admission_rejections"),
+            ],
+            300,
+        );
+        // Every per-doc and service counter is live and set above.
+        assert_eq!(doc_expect.len(), DOC_COUNTERS.len());
+        assert_eq!(service_expect.len(), SERVICE_COUNTERS.len());
+
+        let snap = server.service_snapshot();
+        let [row] = &snap.registry.docs[..] else { panic!("one registered doc") };
+        assert_eq!(row.doc_id, "doc");
+        check(DOC_COUNTERS, row, &doc_expect);
+        assert_eq!(row.phases, phases);
+        assert_eq!((row.request_latency.count(), row.request_latency.max()), (1, 4_321));
+        check(REGISTRY_COUNTERS, &snap.registry, &registry_expect);
+        check(SERVICE_COUNTERS, &snap, &service_expect);
+    }
+
     #[test]
     fn text_exposition_covers_every_counter() {
         let snap = sample();

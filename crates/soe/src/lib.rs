@@ -36,10 +36,9 @@ pub use baseline::{brute_force_session, lwb_estimate, LwbReport};
 pub use cost::{CostModel, TimeBreakdown};
 pub use document::{DocMeta, PrepareStats, ServerDoc};
 pub use server::{CompilerSnapshot, DocServer, SessionSpec};
-// Client sessions compile policies with these; re-exported so dependants
-// (e.g. the net layer's observability) need not depend on xsac-core
-// directly.
 pub use session::{
     run_session, run_session_shared, SessionConfig, SessionError, SessionResult, Strategy,
 };
-pub use xsac_core::{CompilerMode, MinimizeStats};
+// Re-exported so dependants (e.g. the net layer's observability) need not
+// depend on xsac-core directly.
+pub use xsac_core::MinimizeStats;

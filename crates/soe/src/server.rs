@@ -28,10 +28,9 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use xsac_core::{CompiledPolicy, CompilerMode, Policy};
+use xsac_core::{CompiledPolicy, Policy};
 use xsac_crypto::store::{ChunkStore, MemStore};
 use xsac_crypto::{LeafCache, TripleDes};
-use xsac_obs::{AtomicHistogram, Histogram, PhaseProfile, SharedPhaseProfile, Tick};
 use xsac_xpath::Automaton;
 
 /// One requested session: a subject (role) with its policy, optional
@@ -49,11 +48,6 @@ pub struct SessionSpec {
     pub query: Option<Automaton>,
     /// Session configuration.
     pub config: SessionConfig,
-    /// Policy-compiler mode. [`CompilerMode::Minimized`] (the default)
-    /// drops containment-redundant rules at compile time;
-    /// [`CompilerMode::Unminimized`] keeps the policy verbatim (the A/B
-    /// escape hatch used by the differential tests and benchmarks).
-    pub mode: CompilerMode,
 }
 
 impl SessionSpec {
@@ -64,7 +58,6 @@ impl SessionSpec {
             policy,
             query: None,
             config: SessionConfig { strategy: Strategy::Tcsbr, cost: CostModel::smartcard() },
-            mode: CompilerMode::default(),
         }
     }
 
@@ -79,19 +72,13 @@ impl SessionSpec {
         self.query = Some(query);
         self
     }
-
-    /// Sets the policy-compiler mode.
-    pub fn compiler_mode(mut self, mode: CompilerMode) -> SessionSpec {
-        self.mode = mode;
-        self
-    }
 }
 
 /// Aggregate policy-compiler activity across a [`DocServer`]'s lifetime:
 /// how often compilation ran versus hit the cache, and how much the
 /// minimizer shrank the rule sets it saw. Hit/miss accounting is what
-/// catches cache-key regressions (a key missing the compiler mode would
-/// show hits where compiles belong — and serve the wrong automata).
+/// catches cache-key regressions (a key missing the subject would show
+/// hits where compiles belong — and serve the wrong automata).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CompilerSnapshot {
     /// Fresh compilations (cache misses).
@@ -116,14 +103,11 @@ pub struct DocServer<S: ChunkStore = MemStore> {
     /// Cross-session terminal leaf-hash cache (ECB-MHT; harmless for the
     /// other schemes, which never consult it).
     leaves: Arc<LeafCache>,
-    /// Compiled rule automata, one entry per `(role, subject, mode)`. The
+    /// Compiled rule automata, one entry per `(role, subject)`. The
     /// subject is part of the key because compilation resolves `USER`
     /// against it: two subjects sharing a role name must never share the
-    /// other's resolved comparisons. The compiler mode is part of the key
-    /// because minimized and unminimized compilations of one policy are
-    /// different artifacts — an A/B session asking for the unminimized
-    /// build must never be handed the minimized one (or vice versa).
-    policies: Mutex<HashMap<(String, String, CompilerMode), Arc<CompiledPolicy>>>,
+    /// other's resolved comparisons.
+    policies: Mutex<HashMap<(String, String), Arc<CompiledPolicy>>>,
     /// Fresh compilations performed (compiler observability).
     compiles: AtomicUsize,
     /// Compiled-policy cache hits.
@@ -132,11 +116,6 @@ pub struct DocServer<S: ChunkStore = MemStore> {
     rules_in: AtomicUsize,
     /// Σ rules dropped by minimization over all fresh compilations.
     rules_dropped: AtomicUsize,
-    /// Σ per-session phase timings over every successful [`DocServer::serve`]
-    /// (telemetry; zero when the span clock is off).
-    phases: SharedPhaseProfile,
-    /// Wall time per successful session, log-bucketed (nanoseconds).
-    session_latency: AtomicHistogram,
 }
 
 impl<S: ChunkStore> DocServer<S> {
@@ -152,8 +131,6 @@ impl<S: ChunkStore> DocServer<S> {
             cache_hits: AtomicUsize::new(0),
             rules_in: AtomicUsize::new(0),
             rules_dropped: AtomicUsize::new(0),
-            phases: SharedPhaseProfile::new(),
-            session_latency: AtomicHistogram::new(),
         }
     }
 
@@ -177,38 +154,24 @@ impl<S: ChunkStore> DocServer<S> {
         &self.leaves
     }
 
-    /// The compiled policy for a `(role, subject)` pair under the default
-    /// compiler mode ([`CompilerMode::Minimized`]), compiling (and
-    /// caching) on first use.
+    /// The compiled policy for a `(role, subject)` pair, compiling (and
+    /// caching) on first use. The subject comes from `policy.subject` —
+    /// `USER` comparisons are resolved against it at compile time, so
+    /// each subject gets its own compilation even within one role. The
+    /// lock guards only the map — compilation of a novel pair happens
+    /// outside any session's hot path.
     pub fn compiled_policy(&self, role: &str, policy: &Policy) -> Arc<CompiledPolicy> {
-        self.compiled_policy_mode(role, policy, CompilerMode::default())
-    }
-
-    /// The compiled policy for a `(role, subject, mode)` triple, compiling
-    /// (and caching) on first use. The subject comes from
-    /// `policy.subject` — `USER` comparisons are resolved against it at
-    /// compile time, so each subject gets its own compilation even within
-    /// one role; the mode is part of the key so minimized and unminimized
-    /// builds of one policy never shadow each other. The lock guards only
-    /// the map — compilation of a novel triple happens outside any
-    /// session's hot path.
-    pub fn compiled_policy_mode(
-        &self,
-        role: &str,
-        policy: &Policy,
-        mode: CompilerMode,
-    ) -> Arc<CompiledPolicy> {
-        let key = (role.to_owned(), policy.subject.clone(), mode);
+        let key = (role.to_owned(), policy.subject.clone());
         if let Some(hit) = self.policies.lock().expect("policy cache").get(&key) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(hit);
         }
-        let compiled = Arc::new(CompiledPolicy::with_mode(policy, mode));
+        let compiled = Arc::new(CompiledPolicy::compile(policy));
         let mut cache = self.policies.lock().expect("policy cache");
         match cache.entry(key) {
             Entry::Occupied(e) => {
-                // Another thread compiled the same triple while we did;
-                // its artifact wins so every session of the triple shares
+                // Another thread compiled the same pair while we did;
+                // its artifact wins so every session of the pair shares
                 // one Arc, and our duplicate work counts as a hit.
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 Arc::clone(e.get())
@@ -223,8 +186,8 @@ impl<S: ChunkStore> DocServer<S> {
         }
     }
 
-    /// Number of `(role, subject, mode)` triples whose policies are
-    /// compiled and cached.
+    /// Number of `(role, subject)` pairs whose policies are compiled and
+    /// cached.
     pub fn cached_roles(&self) -> usize {
         self.policies.lock().expect("policy cache").len()
     }
@@ -239,35 +202,17 @@ impl<S: ChunkStore> DocServer<S> {
         }
     }
 
-    /// Runs one session against the shared caches. Successful sessions
-    /// roll their phase profile and wall time into the server's
-    /// telemetry aggregates ([`DocServer::phase_snapshot`],
-    /// [`DocServer::session_latency`]).
+    /// Runs one session against the shared caches.
     pub fn serve(&self, spec: &SessionSpec) -> Result<SessionResult, SessionError> {
-        let compiled = self.compiled_policy_mode(&spec.role, &spec.policy, spec.mode);
-        let t = Tick::now();
-        let res = run_session_shared(
+        let compiled = self.compiled_policy(&spec.role, &spec.policy);
+        run_session_shared(
             &self.doc,
             &self.key,
             &compiled,
             spec.query.as_ref(),
             &spec.config,
             Some(&self.leaves),
-        )?;
-        self.session_latency.record(t.elapsed_nanos());
-        self.phases.merge(&res.phases);
-        Ok(res)
-    }
-
-    /// Σ phase timings over every successful session served so far.
-    pub fn phase_snapshot(&self) -> PhaseProfile {
-        self.phases.snapshot()
-    }
-
-    /// Log-bucketed wall time (nanoseconds) of every successful session
-    /// served so far.
-    pub fn session_latency(&self) -> Histogram {
-        self.session_latency.snapshot()
+        )
     }
 
     /// Runs the sessions one after another on the calling thread (shared
@@ -293,7 +238,7 @@ impl<S: ChunkStore> DocServer<S> {
         // Pre-compile every role up front so workers never contend on the
         // policy-cache lock mid-stream.
         for spec in specs {
-            self.compiled_policy_mode(&spec.role, &spec.policy, spec.mode);
+            self.compiled_policy(&spec.role, &spec.policy);
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<SessionResult, SessionError>>>> =
@@ -386,29 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn compiler_mode_is_part_of_the_cache_key() {
-        // Minimized and unminimized builds of one (role, subject) must be
-        // distinct cache entries: ⊕//b ⊇ ⊕//b/c, so the minimized build
-        // drops a rule the unminimized one keeps.
-        let s = server("<a><b><c>x</c></b></a>", IntegrityScheme::Ecb);
-        let sp = spec("doctor", &[(Sign::Permit, "//b"), (Sign::Permit, "//b/c")], &s);
-        let min = s.compiled_policy_mode(&sp.role, &sp.policy, CompilerMode::Minimized);
-        let raw = s.compiled_policy_mode(&sp.role, &sp.policy, CompilerMode::Unminimized);
-        assert!(!Arc::ptr_eq(&min, &raw), "modes must not share a cache slot");
-        assert_eq!(min.rule_count(), 1);
-        assert_eq!(raw.rule_count(), 2);
-        assert_eq!(s.cached_roles(), 2);
-        // And each mode still hits its own entry.
-        let min2 = s.compiled_policy_mode(&sp.role, &sp.policy, CompilerMode::Minimized);
-        assert!(Arc::ptr_eq(&min, &min2));
-        let snap = s.compiler_snapshot();
-        assert_eq!(snap.compiles, 2);
-        assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.rules_in, 4);
-        assert_eq!(snap.rules_dropped, 1);
-    }
-
-    #[test]
     fn session_result_carries_minimize_stats() {
         let s = server("<a><b><c>x</c></b></a>", IntegrityScheme::Ecb);
         let sp = spec("doctor", &[(Sign::Permit, "//b"), (Sign::Permit, "//b/c")], &s);
@@ -416,19 +338,10 @@ mod tests {
         assert_eq!(res.compiler.rules_in, 2);
         assert_eq!(res.compiler.rules_out, 1);
         assert!(res.compiler.ir_instructions > 0);
-        let raw = s
-            .serve(
-                &spec("doctor", &[(Sign::Permit, "//b"), (Sign::Permit, "//b/c")], &s)
-                    .compiler_mode(CompilerMode::Unminimized),
-            )
-            .unwrap();
-        assert_eq!(raw.compiler.rules_dropped(), 0);
-        let dict = s.doc().dict.clone();
-        assert_eq!(
-            reassemble_to_string(&dict, &res.log),
-            reassemble_to_string(&dict, &raw.log),
-            "minimization must not change the view"
-        );
+        s.serve(&sp).unwrap();
+        let snap = s.compiler_snapshot();
+        assert_eq!((snap.compiles, snap.cache_hits), (1, 1));
+        assert_eq!((snap.rules_in, snap.rules_dropped), (2, 1));
     }
 
     #[test]

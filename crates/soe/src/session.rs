@@ -160,8 +160,8 @@ pub struct SessionResult {
     /// Measured wall time per pipeline phase: fetch/decrypt/hash from the
     /// SOE reader, decode/evaluate from the session event loop (decode is
     /// exclusive — reader time accrued inside `decoder.next()` is
-    /// subtracted out). Telemetry only: zero under `telemetry-off` or
-    /// when runtime-disabled, and never part of the byte-exact outputs
+    /// subtracted out). Telemetry only: zero when
+    /// runtime-disabled, and never part of the byte-exact outputs
     /// the differential suites compare ([`AccessCost`] and
     /// [`TimeBreakdown`] stay model-synthesized).
     pub phases: PhaseProfile,
@@ -174,13 +174,6 @@ const _: fn() = || {
     assert_send::<SessionResult>();
     assert_send::<SessionError>();
 };
-
-impl SessionResult {
-    /// Throughput in KB of *source document* per second (Figure 12).
-    pub fn throughput_kbps(&self, source_bytes: usize) -> f64 {
-        source_bytes as f64 / 1000.0 / self.time.total()
-    }
-}
 
 /// Runs one SOE session, compiling the policy privately.
 ///

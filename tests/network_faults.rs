@@ -239,7 +239,7 @@ fn mid_stream_server_restart_resumes_identically() {
             // a document preparation racing loaded CI.
             let served_b =
                 ServerDoc::prepare(&doc_for_b, &key_b, IntegrityScheme::EcbMht, tiny_layout());
-            while handle_a.metrics().chunks_served() < 4 {
+            while handle_a.service_snapshot().chunks_served < 4 {
                 assert!(std::time::Instant::now() < deadline, "session never started");
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
